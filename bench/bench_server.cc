@@ -29,10 +29,10 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/client.h"
 #include "common/random.h"
 #include "db/db.h"
 #include "db/session.h"
-#include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 

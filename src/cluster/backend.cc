@@ -1,18 +1,18 @@
-// The two single-node tse::Backend implementations (embedded engine,
-// wire-protocol client), the value-literal parser they share with the
-// shell, and tse::Connect — the one place a deployment spec is turned
-// into a handle. The sharded implementation lives in cluster.cc.
+// The embedded tse::Backend implementation, the value-literal parser
+// the backends share with the shell, and tse::Connect — the one place a
+// deployment spec is turned into a handle. The remote implementation is
+// tse::Client (client.cc); the sharded one lives in cluster.cc.
 
 #include "cluster/backend.h"
 
 #include <sstream>
 #include <utility>
 
+#include "cluster/client.h"
 #include "cluster/cluster.h"
 #include "db/db.h"
 #include "db/session.h"
 #include "db/snapshot.h"
-#include "net/client.h"
 #include "obs/metrics.h"
 #include "objmodel/expr_parser.h"
 
@@ -335,134 +335,6 @@ class EmbeddedBackend final : public Backend {
   std::string where_;
 };
 
-// --- Remote deployment ---------------------------------------------------
-
-/// tse::Client::Snapshot behind the deployment-agnostic handle.
-class RemoteSnapshot final : public SnapshotHandle {
- public:
-  explicit RemoteSnapshot(std::unique_ptr<Client::Snapshot> snap)
-      : snap_(std::move(snap)) {}
-
-  uint64_t epoch() const override { return snap_->epoch(); }
-  std::string view_name() const override { return snap_->view_name(); }
-  int view_version() const override { return snap_->view_version(); }
-
-  Result<Value> Get(Oid oid, const std::string& class_name,
-                    const std::string& path) override {
-    return snap_->Get(oid, class_name, path);
-  }
-  Result<Value> GetAttr(Oid oid, const std::string& class_name,
-                        const std::string& attr) override {
-    return snap_->GetAttr(oid, class_name, attr);
-  }
-  Result<std::vector<Oid>> Extent(const std::string& class_name) override {
-    return snap_->Extent(class_name);
-  }
-  Result<std::vector<Oid>> Select(const std::string& class_name,
-                                  const std::string& predicate) override {
-    return snap_->Select(class_name, predicate);
-  }
-
- private:
-  std::unique_ptr<Client::Snapshot> snap_;
-};
-
-/// One tse_served over the wire protocol.
-class RemoteBackend final : public Backend {
- public:
-  RemoteBackend(std::unique_ptr<Client> client, std::string where)
-      : client_(std::move(client)), where_(std::move(where)) {}
-
-  std::string Where() const override { return where_; }
-  std::string view_name() const override { return client_->view_name(); }
-  ViewId view_id() const override { return client_->view_id(); }
-  int view_version() const override { return client_->view_version(); }
-
-  Status OpenSession(const std::string& view_name) override {
-    return client_->OpenSession(view_name);
-  }
-  Status OpenSessionAt(ViewId view_id) override {
-    return client_->OpenSessionAt(view_id);
-  }
-  Status Refresh() override { return client_->Refresh(); }
-
-  Result<ClassId> Resolve(const std::string& display_name) override {
-    return client_->Resolve(display_name);
-  }
-  Result<Value> Get(Oid oid, const std::string& class_name,
-                    const std::string& path) override {
-    return client_->Get(oid, class_name, path);
-  }
-  Result<Value> GetAttr(Oid oid, const std::string& class_name,
-                        const std::string& attr) override {
-    return client_->GetAttr(oid, class_name, attr);
-  }
-  Result<std::vector<Oid>> Extent(const std::string& class_name) override {
-    return client_->Extent(class_name);
-  }
-  Result<std::vector<Oid>> Select(const std::string& class_name,
-                                  const std::string& predicate) override {
-    return client_->Select(class_name, predicate);
-  }
-  Result<std::string> ViewToString() override {
-    return client_->ViewToString();
-  }
-  Result<std::vector<std::string>> ListClasses() override {
-    return client_->ListClasses();
-  }
-
-  Result<std::unique_ptr<SnapshotHandle>> GetSnapshot() override {
-    TSE_ASSIGN_OR_RETURN(auto snap, client_->GetSnapshot());
-    return std::unique_ptr<SnapshotHandle>(new RemoteSnapshot(std::move(snap)));
-  }
-
-  Result<Oid> Create(
-      const std::string& class_name,
-      const std::vector<update::Assignment>& assignments) override {
-    return client_->Create(class_name, assignments);
-  }
-  Status Set(Oid oid, const std::string& class_name, const std::string& attr,
-             Value value) override {
-    return client_->Set(oid, class_name, attr, std::move(value));
-  }
-  Status Add(Oid oid, const std::string& class_name) override {
-    return client_->Add(oid, class_name);
-  }
-  Status Remove(Oid oid, const std::string& class_name) override {
-    return client_->Remove(oid, class_name);
-  }
-  Status Delete(Oid oid) override { return client_->Delete(oid); }
-
-  Status Begin() override { return client_->Begin(); }
-  Status Commit() override { return client_->Commit(); }
-  Status Rollback() override { return client_->Rollback(); }
-
-  Result<ViewId> Apply(const std::string& change_text) override {
-    return client_->Apply(change_text);
-  }
-
-  Result<ClassId> AddBaseClass(
-      const std::string& name, const std::vector<ClassId>& supers,
-      const std::vector<schema::PropertySpec>& props) override {
-    return client_->AddBaseClass(name, supers, props);
-  }
-  Result<ViewId> CreateView(
-      const std::string& logical_name,
-      const std::vector<view::ViewClassSpec>& classes) override {
-    return client_->CreateView(logical_name, classes);
-  }
-
-  Result<std::string> Stats(bool as_json) override {
-    return client_->Stats(as_json);
-  }
-
-  Client* client() override { return client_.get(); }
-
- private:
-  std::unique_ptr<Client> client_;
-  std::string where_;
-};
-
 }  // namespace
 
 namespace cluster_internal {
@@ -504,7 +376,7 @@ Result<std::unique_ptr<Backend>> Connect(const std::string& spec) {
                          cluster_internal::ParseHostPort(spec.substr(4)));
     TSE_ASSIGN_OR_RETURN(auto client,
                          Client::Connect(endpoint.first, endpoint.second));
-    return std::unique_ptr<Backend>(new RemoteBackend(std::move(client), spec));
+    return std::unique_ptr<Backend>(std::move(client));
   }
   if (spec.rfind("cluster:", 0) == 0) {
     std::vector<std::string> endpoints;

@@ -31,9 +31,12 @@ class ReadSurface {
   [[nodiscard]] virtual Result<objmodel::Value> Get(
       Oid oid, const std::string& class_name, const std::string& path) = 0;
 
-  /// Reads one direct attribute.
+  /// Reads one direct attribute. Defaults to Get, which reads the same
+  /// value for a path of one attribute.
   [[nodiscard]] virtual Result<objmodel::Value> GetAttr(
-      Oid oid, const std::string& class_name, const std::string& attr) = 0;
+      Oid oid, const std::string& class_name, const std::string& attr) {
+    return Get(oid, class_name, attr);
+  }
 
   /// The extent of view class `class_name`, materialized as oids.
   [[nodiscard]] virtual Result<std::vector<Oid>> Extent(

@@ -109,48 +109,29 @@ Result<Value> Cluster::Get(Oid oid, const std::string& class_name,
   return shards_[ShardOf(oid)]->Get(oid, class_name, path);
 }
 
-Result<Value> Cluster::GetAttr(Oid oid, const std::string& class_name,
-                               const std::string& attr) {
-  TSE_COUNT("cluster.routed_ops");
-  return shards_[ShardOf(oid)]->GetAttr(oid, class_name, attr);
-}
-
-Result<std::vector<Oid>> Cluster::Extent(const std::string& class_name) {
-  TSE_COUNT("cluster.fanouts");
-  std::vector<Oid> all;
-  for (auto& shard : shards_) {
-    TSE_ASSIGN_OR_RETURN(std::vector<Oid> part, shard->Extent(class_name));
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  // Shards hold disjoint oid residues, so the union is a concatenation;
-  // sort for a deterministic, deployment-independent order.
-  std::sort(all.begin(), all.end(),
-            [](Oid a, Oid b) { return a.value() < b.value(); });
-  return all;
-}
-
-Result<std::vector<Oid>> Cluster::Select(const std::string& class_name,
-                                         const std::string& predicate) {
-  TSE_COUNT("cluster.fanouts");
-  std::vector<Oid> all;
-  for (auto& shard : shards_) {
-    TSE_ASSIGN_OR_RETURN(std::vector<Oid> part,
-                         shard->Select(class_name, predicate));
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](Oid a, Oid b) { return a.value() < b.value(); });
-  return all;
-}
-
 namespace {
+
+/// Unions one read over every shard. Shards hold disjoint oid residues,
+/// so the union is a concatenation; sorting gives a deterministic,
+/// deployment-independent order.
+template <typename Handle, typename Read>
+Result<std::vector<Oid>> UnionOver(
+    const std::vector<std::unique_ptr<Handle>>& shards, Read read) {
+  std::vector<Oid> all;
+  for (const auto& shard : shards) {
+    TSE_ASSIGN_OR_RETURN(std::vector<Oid> part, read(*shard));
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  std::sort(all.begin(), all.end());
+  return all;
+}
 
 /// Per-shard snapshot handles behind one union read surface. Each
 /// shard's snapshot is internally consistent at its own data epoch;
 /// the union is not a single cross-shard point in time.
 class ClusterSnapshot final : public SnapshotHandle {
  public:
-  ClusterSnapshot(std::vector<std::unique_ptr<Client::Snapshot>> snaps)
+  ClusterSnapshot(std::vector<std::unique_ptr<SnapshotHandle>> snaps)
       : snaps_(std::move(snaps)) {}
 
   uint64_t epoch() const override { return snaps_[0]->epoch(); }
@@ -161,43 +142,41 @@ class ClusterSnapshot final : public SnapshotHandle {
                     const std::string& path) override {
     return snaps_[oid.value() % snaps_.size()]->Get(oid, class_name, path);
   }
-  Result<Value> GetAttr(Oid oid, const std::string& class_name,
-                        const std::string& attr) override {
-    return snaps_[oid.value() % snaps_.size()]->GetAttr(oid, class_name,
-                                                        attr);
-  }
   Result<std::vector<Oid>> Extent(const std::string& class_name) override {
-    std::vector<Oid> all;
-    for (auto& snap : snaps_) {
-      TSE_ASSIGN_OR_RETURN(std::vector<Oid> part, snap->Extent(class_name));
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](Oid a, Oid b) { return a.value() < b.value(); });
-    return all;
+    return UnionOver(snaps_, [&](SnapshotHandle& snap) {
+      return snap.Extent(class_name);
+    });
   }
   Result<std::vector<Oid>> Select(const std::string& class_name,
                                   const std::string& predicate) override {
-    std::vector<Oid> all;
-    for (auto& snap : snaps_) {
-      TSE_ASSIGN_OR_RETURN(std::vector<Oid> part,
-                           snap->Select(class_name, predicate));
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](Oid a, Oid b) { return a.value() < b.value(); });
-    return all;
+    return UnionOver(snaps_, [&](SnapshotHandle& snap) {
+      return snap.Select(class_name, predicate);
+    });
   }
 
  private:
-  std::vector<std::unique_ptr<Client::Snapshot>> snaps_;
+  std::vector<std::unique_ptr<SnapshotHandle>> snaps_;
 };
 
 }  // namespace
 
+Result<std::vector<Oid>> Cluster::Extent(const std::string& class_name) {
+  TSE_COUNT("cluster.fanouts");
+  return UnionOver(shards_,
+                   [&](Client& shard) { return shard.Extent(class_name); });
+}
+
+Result<std::vector<Oid>> Cluster::Select(const std::string& class_name,
+                                         const std::string& predicate) {
+  TSE_COUNT("cluster.fanouts");
+  return UnionOver(shards_, [&](Client& shard) {
+    return shard.Select(class_name, predicate);
+  });
+}
+
 Result<std::unique_ptr<SnapshotHandle>> Cluster::GetSnapshot() {
   TSE_COUNT("cluster.fanouts");
-  std::vector<std::unique_ptr<Client::Snapshot>> snaps;
+  std::vector<std::unique_ptr<SnapshotHandle>> snaps;
   snaps.reserve(shards_.size());
   for (auto& shard : shards_) {
     TSE_ASSIGN_OR_RETURN(auto snap, shard->GetSnapshot());

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cluster/backend.h"
-#include "net/client.h"
+#include "cluster/client.h"
 
 namespace tse {
 
@@ -66,8 +66,6 @@ class Cluster final : public Backend {
   Result<ClassId> Resolve(const std::string& display_name) override;
   Result<objmodel::Value> Get(Oid oid, const std::string& class_name,
                               const std::string& path) override;
-  Result<objmodel::Value> GetAttr(Oid oid, const std::string& class_name,
-                                  const std::string& attr) override;
   Result<std::vector<Oid>> Extent(const std::string& class_name) override;
   Result<std::vector<Oid>> Select(const std::string& class_name,
                                   const std::string& predicate) override;

@@ -12,16 +12,23 @@
 
 #include <cerrno>
 #include <cstring>
+#include <set>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "db/db.h"
 #include "db/session.h"
 #include "db/snapshot.h"
+#include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "view/view_schema.h"
 
 namespace tse::net {
+
+using objmodel::Value;
 
 namespace {
 
@@ -29,16 +36,6 @@ int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Encodes the session-identity payload every session-binding response
-/// carries (open/apply/refresh): view name, view id, version.
-std::string SessionInfoPayload(const Session& session) {
-  std::string payload;
-  AppendString(&payload, session.view_name());
-  AppendU64(&payload, session.view_id().value());
-  AppendI32(&payload, session.view_version());
-  return payload;
 }
 
 }  // namespace
@@ -431,14 +428,271 @@ void Server::WorkerLoop() {
 
 // --- Request dispatch --------------------------------------------------------
 
+/// The server half of the opcode table (net/protocol.h): one
+/// `Serve(ctx, Row{}, fields...)` overload per row, each a straight
+/// transcription of the public surface. Rows without a response
+/// payload return a bare Status.
+struct Server::Handlers {
+  /// What a handler may touch; `session` is non-null whenever the row
+  /// needs one (Run checks before calling the handler).
+  struct Ctx {
+    Db* db;
+    Connection& conn;
+    Session* session;
+  };
+
+  /// Decodes the body strictly, applies the row's session gate, runs
+  /// the handler, and encodes the response frame.
+  template <typename Row>
+  static std::string Run(Ctx& ctx, const std::string& body) {
+    auto fields = DecodeBody<typename Row::Request>(body);
+    if (!fields.ok()) return EncodeResponse(Row::kOpcode, fields.status());
+    if (Row::kNeedsSession && ctx.session == nullptr) {
+      return EncodeResponse(
+          Row::kOpcode,
+          Status::FailedPrecondition(
+              std::string("no session open; send open_session before ") +
+              Row::kName));
+    }
+    auto result = std::apply(
+        [&](auto&... field) { return Serve(ctx, Row{}, std::move(field)...); },
+        fields.value());
+    if constexpr (std::is_same_v<decltype(result), Status>) {
+      return EncodeResponse(Row::kOpcode, result);
+    } else {
+      if (!result.ok()) return EncodeResponse(Row::kOpcode, result.status());
+      std::string payload;
+      Codec<typename Row::Response>::Write(&payload, result.value());
+      return EncodeResponse(Row::kOpcode, Status::OK(), payload);
+    }
+  }
+
+  static SessionInfo InfoOf(const Session& s) {
+    return {s.view_name(), s.view_id(), s.view_version()};
+  }
+  static Result<SessionInfo> Bind(Ctx& c, Result<std::unique_ptr<Session>> s) {
+    TSE_ASSIGN_OR_RETURN(c.conn.session, std::move(s));
+    TSE_COUNT("net.server.sessions_opened");
+    return InfoOf(*c.conn.session);
+  }
+  static Result<Snapshot*> FindSnapshot(Ctx& c, uint64_t id) {
+    auto it = c.conn.snapshots.find(id);
+    if (it == c.conn.snapshots.end()) {
+      return Status::NotFound("no such snapshot id");
+    }
+    return it->second.get();
+  }
+  static Result<PreparedSchemaChange> TakePrepared(Ctx& c, uint64_t token) {
+    auto it = c.conn.prepared.find(token);
+    if (it == c.conn.prepared.end()) {
+      return Status::NotFound("no such prepared change");
+    }
+    PreparedSchemaChange prepared = std::move(it->second);
+    c.conn.prepared.erase(it);
+    return prepared;
+  }
+
+  // --- Connection and session lifecycle -------------------------------------
+
+  static Result<uint16_t> Serve(Ctx& c, op::Hello, uint32_t magic,
+                                uint16_t version) {
+    if (c.conn.hello_done) return kProtoVersion;
+    if (magic != kMagic) {
+      TSE_COUNT("net.server.bad_frames");
+      return Status::InvalidArgument("bad hello magic");
+    }
+    if (version != kProtoVersion) {
+      return Status::InvalidArgument(
+          "protocol version " + std::to_string(version) +
+          " unsupported; server speaks " + std::to_string(kProtoVersion));
+    }
+    c.conn.hello_done = true;
+    return kProtoVersion;
+  }
+  static Status Serve(Ctx&, op::Ping) { return Status::OK(); }
+  static Result<SessionInfo> Serve(Ctx& c, op::OpenSession, std::string name) {
+    return Bind(c, c.db->OpenSession(name));
+  }
+  static Result<SessionInfo> Serve(Ctx& c, op::OpenSessionAt, ViewId view) {
+    return Bind(c, c.db->OpenSessionAt(view));
+  }
+  static Result<SessionInfo> Serve(Ctx& c, op::SessionInfo) {
+    return InfoOf(*c.session);
+  }
+
+  // --- Session reads and updates --------------------------------------------
+
+  static Result<ClassId> Serve(Ctx& c, op::Resolve, std::string name) {
+    return c.session->Resolve(name);
+  }
+  static Result<Value> Serve(Ctx& c, op::Get, Oid oid, std::string cls,
+                             std::string path) {
+    return c.session->Get(oid, cls, path);
+  }
+  static Result<std::vector<Oid>> Serve(Ctx& c, op::Extent, std::string cls) {
+    TSE_ASSIGN_OR_RETURN(auto extent, c.session->Extent(cls));
+    return std::vector<Oid>(extent->begin(), extent->end());
+  }
+  static Result<std::vector<Oid>> Serve(Ctx& c, op::Select, std::string cls,
+                                        std::string predicate) {
+    return c.session->Select(cls, predicate);
+  }
+  static Result<std::string> Serve(Ctx& c, op::ViewToString) {
+    return c.session->ViewToString();
+  }
+  static Result<std::vector<std::string>> Serve(Ctx& c, op::ListClasses) {
+    TSE_ASSIGN_OR_RETURN(const view::ViewSchema* view,
+                         c.db->views().GetView(c.session->view_id()));
+    std::vector<std::string> names;
+    for (ClassId cls : view->classes()) {
+      names.push_back(view->DisplayName(cls).value_or(std::string()));
+    }
+    return names;
+  }
+  static Result<Oid> Serve(Ctx& c, op::Create, std::string cls,
+                           std::vector<update::Assignment> values) {
+    return c.session->Create(cls, values);
+  }
+  static Status Serve(Ctx& c, op::Set, Oid oid, std::string cls,
+                      std::string attr, Value value) {
+    return c.session->Set(oid, cls, attr, std::move(value));
+  }
+  static Status Serve(Ctx& c, op::Add, Oid oid, std::string cls) {
+    return c.session->Add(oid, cls);
+  }
+  static Status Serve(Ctx& c, op::Remove, Oid oid, std::string cls) {
+    return c.session->Remove(oid, cls);
+  }
+  static Status Serve(Ctx& c, op::Delete, Oid oid) {
+    return c.session->Delete(oid);
+  }
+  static Status Serve(Ctx& c, op::Begin) { return c.session->Begin(); }
+  static Status Serve(Ctx& c, op::Commit) { return c.session->Commit(); }
+  static Status Serve(Ctx& c, op::Rollback) { return c.session->Rollback(); }
+
+  // --- Schema evolution -----------------------------------------------------
+  // Prepared changes live on the connection, so a disconnect discards
+  // them.
+
+  static Result<SessionInfo> Serve(Ctx& c, op::Apply, std::string change) {
+    TSE_RETURN_IF_ERROR(c.session->Apply(change).status());
+    TSE_COUNT("net.server.schema_changes");
+    return InfoOf(*c.session);
+  }
+  static Result<SessionInfo> Serve(Ctx& c, op::Refresh) {
+    TSE_RETURN_IF_ERROR(c.session->Refresh());
+    return InfoOf(*c.session);
+  }
+  static Result<PreparedChange> Serve(Ctx& c, op::SchemaPrepare,
+                                      std::string change) {
+    TSE_ASSIGN_OR_RETURN(PreparedSchemaChange prepared,
+                         c.session->Prepare(change));
+    const uint64_t token = c.conn.next_prepared_id++;
+    PreparedChange out{token, prepared.new_view,
+                       static_cast<int32_t>(prepared.schema->version()),
+                       prepared.expected_epoch};
+    c.conn.prepared.emplace(token, std::move(prepared));
+    TSE_COUNT("net.server.schema_prepares");
+    return out;
+  }
+  static Result<SessionInfo> Serve(Ctx& c, op::SchemaFlip, uint64_t token) {
+    TSE_ASSIGN_OR_RETURN(PreparedSchemaChange prepared,
+                         TakePrepared(c, token));
+    TSE_RETURN_IF_ERROR(c.session->CommitPrepared(prepared).status());
+    TSE_COUNT("net.server.schema_changes");
+    return InfoOf(*c.session);
+  }
+  static Status Serve(Ctx& c, op::SchemaAbort, uint64_t token) {
+    TSE_ASSIGN_OR_RETURN(PreparedSchemaChange prepared,
+                         TakePrepared(c, token));
+    return c.session->AbortPrepared(prepared);
+  }
+
+  // --- Observability, global DDL, shard identity ----------------------------
+
+  static Result<std::string> Serve(Ctx&, op::Stats, bool as_json) {
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Instance().Snapshot();
+    return as_json ? snapshot.ToJson() : snapshot.ToText();
+  }
+  static Result<ClassId> Serve(Ctx& c, op::AddBaseClass, std::string name,
+                               std::vector<ClassId> supers,
+                               std::vector<schema::PropertySpec> props) {
+    for (const schema::PropertySpec& prop : props) {
+      if (prop.value_type > objmodel::ValueType::kRef) {
+        return Status::InvalidArgument(
+            "unknown value type " +
+            std::to_string(static_cast<int>(prop.value_type)) +
+            " for attribute " + prop.name);
+      }
+    }
+    return c.db->AddBaseClass(name, supers, props);
+  }
+  static Result<ViewId> Serve(Ctx& c, op::CreateView, std::string name,
+                              std::vector<view::ViewClassSpec> classes) {
+    return c.db->CreateView(name, classes);
+  }
+  static Result<ShardIdentity> Serve(Ctx& c, op::ShardInfo) {
+    return ShardIdentity{c.db->options().shard_id,
+                         c.db->options().shard_count, c.db->epoch()};
+  }
+
+  // --- Snapshot reads (MVCC; DESIGN.md §13) ---------------------------------
+
+  static Result<std::unique_ptr<Snapshot>> Open(Ctx& c,
+                                                const SnapshotTarget& t) {
+    if (const auto* name = std::get_if<std::string>(&t)) {
+      return c.db->OpenSnapshot(*name);
+    }
+    if (const auto* at = std::get_if<std::tuple<ViewId, uint64_t>>(&t)) {
+      return c.db->OpenSnapshotAt(std::get<0>(*at), std::get<1>(*at));
+    }
+    if (c.conn.session == nullptr) {
+      return Status::FailedPrecondition(
+          "snapshot_open mode 2 needs an open session");
+    }
+    return c.conn.session->GetSnapshot();
+  }
+  static Result<SnapshotInfo> Serve(Ctx& c, op::SnapshotOpen,
+                                    SnapshotTarget target) {
+    TSE_ASSIGN_OR_RETURN(std::unique_ptr<Snapshot> snap, Open(c, target));
+    const uint64_t id = c.conn.next_snapshot_id++;
+    SnapshotInfo info{id, snap->epoch(), snap->view_id(),
+                      static_cast<uint32_t>(snap->view_version()),
+                      snap->view_name()};
+    c.conn.snapshots.emplace(id, std::move(snap));
+    return info;
+  }
+  static Result<Value> Serve(Ctx& c, op::SnapshotGet, uint64_t id, Oid oid,
+                             std::string cls, std::string path) {
+    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
+    return snap->Get(oid, cls, path);
+  }
+  static Result<std::vector<Oid>> Serve(Ctx& c, op::SnapshotExtent,
+                                        uint64_t id, std::string cls) {
+    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
+    TSE_ASSIGN_OR_RETURN(std::set<Oid> extent, snap->Extent(cls));
+    return std::vector<Oid>(extent.begin(), extent.end());
+  }
+  static Result<std::vector<Oid>> Serve(Ctx& c, op::SnapshotSelect,
+                                        uint64_t id, std::string cls,
+                                        std::string predicate) {
+    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
+    return snap->Select(cls, predicate);
+  }
+  static Status Serve(Ctx& c, op::SnapshotClose, uint64_t id) {
+    if (c.conn.snapshots.erase(id) == 0) {
+      return Status::NotFound("no such snapshot id");
+    }
+    return Status::OK();
+  }
+};
+
 std::string Server::Dispatch(Connection& conn, const Frame& frame,
                              bool* close_after) {
   TSE_LATENCY_US("net.server.request_us");
   TSE_TRACE_SPAN("net.server.request");
   TSE_COUNT("net.server.requests");
   const Opcode op = frame.opcode;
-  Cursor cursor(frame.body);
-
   if (!IsKnownOpcode(static_cast<uint8_t>(op))) {
     TSE_COUNT("net.server.bad_frames");
     return EncodeResponse(
@@ -450,475 +704,19 @@ std::string Server::Dispatch(Connection& conn, const Frame& frame,
   // The hello exchange gates everything: a peer that speaks first with
   // anything else (wrong magic, random bytes that framed by accident)
   // is not a TSE client and forfeits the connection.
-  if (!conn.hello_done) {
-    if (op != Opcode::kHello) {
-      *close_after = true;
-      TSE_COUNT("net.server.bad_frames");
-      return EncodeResponse(
-          op, Status::FailedPrecondition("hello required before any request"));
-    }
-    auto magic = cursor.U32();
-    auto version = magic.ok() ? cursor.U16() : Result<uint16_t>(magic.status());
-    if (!version.ok() || magic.value() != kMagic) {
-      *close_after = true;
-      TSE_COUNT("net.server.bad_frames");
-      return EncodeResponse(op,
-                            Status::InvalidArgument("bad hello magic"));
-    }
-    if (version.value() != kProtoVersion) {
-      *close_after = true;
-      return EncodeResponse(
-          op, Status::InvalidArgument(
-                  "protocol version " + std::to_string(version.value()) +
-                  " unsupported; server speaks " +
-                  std::to_string(kProtoVersion)));
-    }
-    conn.hello_done = true;
-    std::string payload;
-    AppendU16(&payload, kProtoVersion);
-    return EncodeResponse(op, Status::OK(), payload);
+  if (!conn.hello_done && op != Opcode::kHello) {
+    *close_after = true;
+    TSE_COUNT("net.server.bad_frames");
+    return EncodeResponse(
+        op, Status::FailedPrecondition("hello required before any request"));
   }
-
-  // Helpers keeping each case a straight transcription of the public
-  // surface: decode arguments, call the facade, encode the result.
-  auto error = [op](const Status& status) {
-    return EncodeResponse(op, status);
-  };
-  auto ok = [op](const std::string& payload = "") {
-    return EncodeResponse(op, Status::OK(), payload);
-  };
-  auto need_session = [&]() -> Session* { return conn.session.get(); };
-
-  switch (op) {
-    case Opcode::kHello: {
-      std::string payload;
-      AppendU16(&payload, kProtoVersion);
-      return ok(payload);
-    }
-    case Opcode::kPing:
-      return ok();
-
-    case Opcode::kOpenSession: {
-      auto view_name = cursor.Str();
-      if (!view_name.ok()) return error(view_name.status());
-      auto session = db_->OpenSession(view_name.value());
-      if (!session.ok()) return error(session.status());
-      conn.session = std::move(session).value();
-      TSE_COUNT("net.server.sessions_opened");
-      return ok(SessionInfoPayload(*conn.session));
-    }
-    case Opcode::kOpenSessionAt: {
-      auto raw = cursor.U64();
-      if (!raw.ok()) return error(raw.status());
-      auto session = db_->OpenSessionAt(ViewId(raw.value()));
-      if (!session.ok()) return error(session.status());
-      conn.session = std::move(session).value();
-      TSE_COUNT("net.server.sessions_opened");
-      return ok(SessionInfoPayload(*conn.session));
-    }
-
-    case Opcode::kStats: {
-      auto as_json = cursor.U8();
-      obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::Instance().Snapshot();
-      std::string payload;
-      AppendString(&payload, as_json.ok() && as_json.value() != 0
-                                 ? snapshot.ToJson()
-                                 : snapshot.ToText());
-      return ok(payload);
-    }
-
-    // Global DDL needs no session — a fresh database is bootstrapped
-    // over the wire before any view exists to bind to.
-    case Opcode::kAddBaseClass: {
-      auto name = cursor.Str();
-      if (!name.ok()) return error(name.status());
-      auto n_supers = cursor.U32();
-      if (!n_supers.ok()) return error(n_supers.status());
-      std::vector<ClassId> supers;
-      supers.reserve(n_supers.value());
-      for (uint32_t i = 0; i < n_supers.value(); ++i) {
-        auto raw = cursor.U64();
-        if (!raw.ok()) return error(raw.status());
-        supers.push_back(ClassId(raw.value()));
-      }
-      auto n_props = cursor.U32();
-      if (!n_props.ok()) return error(n_props.status());
-      std::vector<schema::PropertySpec> props;
-      props.reserve(n_props.value());
-      for (uint32_t i = 0; i < n_props.value(); ++i) {
-        auto prop_name = cursor.Str();
-        if (!prop_name.ok()) return error(prop_name.status());
-        auto type_raw = cursor.U8();
-        if (!type_raw.ok()) return error(type_raw.status());
-        auto ref_raw = cursor.U64();
-        if (!ref_raw.ok()) return error(ref_raw.status());
-        if (type_raw.value() > static_cast<uint8_t>(objmodel::ValueType::kRef)) {
-          return error(Status::InvalidArgument(
-              "unknown value type " + std::to_string(type_raw.value()) +
-              " for attribute " + prop_name.value()));
-        }
-        auto type = static_cast<objmodel::ValueType>(type_raw.value());
-        props.push_back(type == objmodel::ValueType::kRef
-                            ? schema::PropertySpec::RefAttribute(
-                                  std::move(prop_name).value(),
-                                  ClassId(ref_raw.value()))
-                            : schema::PropertySpec::Attribute(
-                                  std::move(prop_name).value(), type));
-      }
-      auto cls = db_->AddBaseClass(name.value(), supers, props);
-      if (!cls.ok()) return error(cls.status());
-      std::string payload;
-      AppendU64(&payload, cls.value().value());
-      return ok(payload);
-    }
-    case Opcode::kCreateView: {
-      auto name = cursor.Str();
-      if (!name.ok()) return error(name.status());
-      auto count = cursor.U32();
-      if (!count.ok()) return error(count.status());
-      std::vector<view::ViewClassSpec> classes;
-      classes.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        auto raw = cursor.U64();
-        if (!raw.ok()) return error(raw.status());
-        auto display = cursor.Str();
-        if (!display.ok()) return error(display.status());
-        classes.push_back(
-            {ClassId(raw.value()), std::move(display).value()});
-      }
-      auto view = db_->CreateView(name.value(), classes);
-      if (!view.ok()) return error(view.status());
-      std::string payload;
-      AppendU64(&payload, view.value().value());
-      return ok(payload);
-    }
-
-    // --- Snapshot reads (MVCC; DESIGN.md §13) --------------------------
-    // Snapshots are independent of the connection's session (a handle
-    // can outlive a session rebind), so they live in the pre-session
-    // section; mode 2 below borrows the session only to pick its view.
-    case Opcode::kSnapshotOpen: {
-      auto mode = cursor.U8();
-      if (!mode.ok()) return error(mode.status());
-      Result<std::unique_ptr<Snapshot>> snap =
-          Status::InvalidArgument("bad snapshot_open mode");
-      switch (mode.value()) {
-        case 0: {  // by view name, current epoch
-          auto view_name = cursor.Str();
-          if (!view_name.ok()) return error(view_name.status());
-          snap = db_->OpenSnapshot(view_name.value());
-          break;
-        }
-        case 1: {  // explicit (view id, epoch)
-          auto view_raw = cursor.U64();
-          auto epoch = view_raw.ok() ? cursor.U64()
-                                     : Result<uint64_t>(view_raw.status());
-          if (!epoch.ok()) return error(epoch.status());
-          snap = db_->OpenSnapshotAt(ViewId(view_raw.value()), epoch.value());
-          break;
-        }
-        case 2: {  // the session's bound view version, current epoch
-          Session* session = conn.session.get();
-          if (session == nullptr) {
-            return error(Status::FailedPrecondition(
-                "snapshot_open mode 2 needs an open session"));
-          }
-          snap = session->GetSnapshot();
-          break;
-        }
-        default:
-          return error(Status::InvalidArgument(
-              "unknown snapshot_open mode " +
-              std::to_string(static_cast<int>(mode.value()))));
-      }
-      if (!snap.ok()) return error(snap.status());
-      uint64_t id = conn.next_snapshot_id++;
-      const Snapshot& s = *snap.value();
-      std::string payload;
-      AppendU64(&payload, id);
-      AppendU64(&payload, s.epoch());
-      AppendU64(&payload, s.view_id().value());
-      AppendU32(&payload, static_cast<uint32_t>(s.view_version()));
-      AppendString(&payload, s.view_name());
-      conn.snapshots.emplace(id, std::move(snap).value());
-      return ok(payload);
-    }
-    case Opcode::kSnapshotGet: {
-      auto id = cursor.U64();
-      auto oid = id.ok() ? cursor.U64() : Result<uint64_t>(id.status());
-      auto cls = oid.ok() ? cursor.Str() : Result<std::string>(oid.status());
-      auto path = cls.ok() ? cursor.Str() : Result<std::string>(cls.status());
-      if (!path.ok()) return error(path.status());
-      auto it = conn.snapshots.find(id.value());
-      if (it == conn.snapshots.end()) {
-        return error(Status::NotFound("no such snapshot id"));
-      }
-      auto value =
-          it->second->Get(Oid(oid.value()), cls.value(), path.value());
-      if (!value.ok()) return error(value.status());
-      std::string payload;
-      AppendValue(&payload, value.value());
-      return ok(payload);
-    }
-    case Opcode::kSnapshotExtent: {
-      auto id = cursor.U64();
-      auto cls = id.ok() ? cursor.Str() : Result<std::string>(id.status());
-      if (!cls.ok()) return error(cls.status());
-      auto it = conn.snapshots.find(id.value());
-      if (it == conn.snapshots.end()) {
-        return error(Status::NotFound("no such snapshot id"));
-      }
-      auto extent = it->second->Extent(cls.value());
-      if (!extent.ok()) return error(extent.status());
-      std::string payload;
-      AppendU32(&payload, static_cast<uint32_t>(extent.value().size()));
-      for (Oid oid : extent.value()) AppendU64(&payload, oid.value());
-      return ok(payload);
-    }
-    case Opcode::kSnapshotSelect: {
-      auto id = cursor.U64();
-      auto cls = id.ok() ? cursor.Str() : Result<std::string>(id.status());
-      auto pred = cls.ok() ? cursor.Str() : Result<std::string>(cls.status());
-      if (!pred.ok()) return error(pred.status());
-      auto it = conn.snapshots.find(id.value());
-      if (it == conn.snapshots.end()) {
-        return error(Status::NotFound("no such snapshot id"));
-      }
-      auto oids = it->second->Select(cls.value(), pred.value());
-      if (!oids.ok()) return error(oids.status());
-      std::string payload;
-      AppendU32(&payload, static_cast<uint32_t>(oids.value().size()));
-      for (Oid oid : oids.value()) AppendU64(&payload, oid.value());
-      return ok(payload);
-    }
-    case Opcode::kSnapshotClose: {
-      auto id = cursor.U64();
-      if (!id.ok()) return error(id.status());
-      if (conn.snapshots.erase(id.value()) == 0) {
-        return error(Status::NotFound("no such snapshot id"));
-      }
-      return ok();
-    }
-
-    // Shard identity for cluster routers: available pre-session so a
-    // router can verify fleet agreement before binding views.
-    case Opcode::kShardInfo: {
-      std::string payload;
-      AppendU32(&payload, db_->options().shard_id);
-      AppendU32(&payload, db_->options().shard_count);
-      AppendU64(&payload, db_->epoch());
-      return ok(payload);
-    }
-
-    default:
-      break;
-  }
-
-  Session* session = need_session();
-  if (session == nullptr) {
-    return error(Status::FailedPrecondition(
-        std::string("no session open; send open_session before ") +
-        OpcodeName(op)));
-  }
-
-  switch (op) {
-    case Opcode::kSessionInfo:
-      return ok(SessionInfoPayload(*session));
-
-    case Opcode::kResolve: {
-      auto name = cursor.Str();
-      if (!name.ok()) return error(name.status());
-      auto cls = session->Resolve(name.value());
-      if (!cls.ok()) return error(cls.status());
-      std::string payload;
-      AppendU64(&payload, cls.value().value());
-      return ok(payload);
-    }
-    case Opcode::kGet: {
-      auto oid = cursor.U64();
-      auto cls = oid.ok() ? cursor.Str() : Result<std::string>(oid.status());
-      auto path = cls.ok() ? cursor.Str() : Result<std::string>(cls.status());
-      if (!path.ok()) return error(path.status());
-      auto value = session->Get(Oid(oid.value()), cls.value(), path.value());
-      if (!value.ok()) return error(value.status());
-      std::string payload;
-      AppendValue(&payload, value.value());
-      return ok(payload);
-    }
-    case Opcode::kExtent: {
-      auto cls = cursor.Str();
-      if (!cls.ok()) return error(cls.status());
-      auto extent = session->Extent(cls.value());
-      if (!extent.ok()) return error(extent.status());
-      std::string payload;
-      AppendU32(&payload, static_cast<uint32_t>(extent.value()->size()));
-      for (Oid oid : *extent.value()) AppendU64(&payload, oid.value());
-      return ok(payload);
-    }
-    case Opcode::kViewToString: {
-      std::string payload;
-      AppendString(&payload, session->ViewToString());
-      return ok(payload);
-    }
-    case Opcode::kListClasses: {
-      auto view = db_->views().GetView(session->view_id());
-      if (!view.ok()) return error(view.status());
-      std::string payload;
-      AppendU32(&payload,
-                static_cast<uint32_t>(view.value()->classes().size()));
-      for (ClassId cls : view.value()->classes()) {
-        auto name = view.value()->DisplayName(cls);
-        AppendString(&payload, name.ok() ? name.value() : std::string());
-      }
-      return ok(payload);
-    }
-
-    case Opcode::kCreate: {
-      auto cls = cursor.Str();
-      if (!cls.ok()) return error(cls.status());
-      auto count = cursor.U32();
-      if (!count.ok()) return error(count.status());
-      std::vector<update::Assignment> assignments;
-      assignments.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        auto name = cursor.Str();
-        if (!name.ok()) return error(name.status());
-        auto value = cursor.Val();
-        if (!value.ok()) return error(value.status());
-        assignments.push_back({std::move(name).value(),
-                               std::move(value).value()});
-      }
-      auto oid = session->Create(cls.value(), assignments);
-      if (!oid.ok()) return error(oid.status());
-      std::string payload;
-      AppendU64(&payload, oid.value().value());
-      return ok(payload);
-    }
-    case Opcode::kSet: {
-      auto oid = cursor.U64();
-      auto cls = oid.ok() ? cursor.Str() : Result<std::string>(oid.status());
-      auto name = cls.ok() ? cursor.Str() : Result<std::string>(cls.status());
-      if (!name.ok()) return error(name.status());
-      auto value = cursor.Val();
-      if (!value.ok()) return error(value.status());
-      Status status = session->Set(Oid(oid.value()), cls.value(), name.value(),
-                                   std::move(value).value());
-      return status.ok() ? ok() : error(status);
-    }
-    case Opcode::kAdd:
-    case Opcode::kRemove: {
-      auto oid = cursor.U64();
-      auto cls = oid.ok() ? cursor.Str() : Result<std::string>(oid.status());
-      if (!cls.ok()) return error(cls.status());
-      Status status = op == Opcode::kAdd
-                          ? session->Add(Oid(oid.value()), cls.value())
-                          : session->Remove(Oid(oid.value()), cls.value());
-      return status.ok() ? ok() : error(status);
-    }
-    case Opcode::kDelete: {
-      auto oid = cursor.U64();
-      if (!oid.ok()) return error(oid.status());
-      Status status = session->Delete(Oid(oid.value()));
-      return status.ok() ? ok() : error(status);
-    }
-
-    case Opcode::kBegin: {
-      Status status = session->Begin();
-      return status.ok() ? ok() : error(status);
-    }
-    case Opcode::kCommit: {
-      Status status = session->Commit();
-      return status.ok() ? ok() : error(status);
-    }
-    case Opcode::kRollback: {
-      Status status = session->Rollback();
-      return status.ok() ? ok() : error(status);
-    }
-
-    case Opcode::kApply: {
-      auto text = cursor.Str();
-      if (!text.ok()) return error(text.status());
-      auto view = session->Apply(text.value());
-      if (!view.ok()) return error(view.status());
-      TSE_COUNT("net.server.schema_changes");
-      return ok(SessionInfoPayload(*session));
-    }
-    case Opcode::kRefresh: {
-      Status status = session->Refresh();
-      return status.ok() ? ok(SessionInfoPayload(*session)) : error(status);
-    }
-
-    case Opcode::kSelect: {
-      auto cls = cursor.Str();
-      auto pred = cls.ok() ? cursor.Str() : Result<std::string>(cls.status());
-      if (!pred.ok()) return error(pred.status());
-      auto oids = session->Select(cls.value(), pred.value());
-      if (!oids.ok()) return error(oids.status());
-      std::string payload;
-      AppendU32(&payload, static_cast<uint32_t>(oids.value().size()));
-      for (Oid oid : oids.value()) AppendU64(&payload, oid.value());
-      return ok(payload);
-    }
-
-    // --- Two-phase schema change (cluster coordination) ----------------
-    case Opcode::kSchemaPrepare: {
-      auto text = cursor.Str();
-      if (!text.ok()) return error(text.status());
-      auto prepared = session->Prepare(text.value());
-      if (!prepared.ok()) return error(prepared.status());
-      const uint64_t token = conn.next_prepared_id++;
-      std::string payload;
-      AppendU64(&payload, token);
-      AppendU64(&payload, prepared.value().new_view.value());
-      AppendI32(&payload,
-                static_cast<int32_t>(prepared.value().schema->version()));
-      AppendU64(&payload, prepared.value().expected_epoch);
-      conn.prepared.emplace(token, std::move(prepared).value());
-      TSE_COUNT("net.server.schema_prepares");
-      return ok(payload);
-    }
-    case Opcode::kSchemaFlip: {
-      auto token = cursor.U64();
-      if (!token.ok()) return error(token.status());
-      auto it = conn.prepared.find(token.value());
-      if (it == conn.prepared.end()) {
-        return error(Status::NotFound("no such prepared change"));
-      }
-      auto view = session->CommitPrepared(it->second);
-      conn.prepared.erase(it);
-      if (!view.ok()) return error(view.status());
-      TSE_COUNT("net.server.schema_changes");
-      return ok(SessionInfoPayload(*session));
-    }
-    case Opcode::kSchemaAbort: {
-      auto token = cursor.U64();
-      if (!token.ok()) return error(token.status());
-      auto it = conn.prepared.find(token.value());
-      if (it == conn.prepared.end()) {
-        return error(Status::NotFound("no such prepared change"));
-      }
-      Status status = session->AbortPrepared(it->second);
-      conn.prepared.erase(it);
-      return status.ok() ? ok() : error(status);
-    }
-
-    case Opcode::kHello:
-    case Opcode::kPing:
-    case Opcode::kStats:
-    case Opcode::kAddBaseClass:
-    case Opcode::kCreateView:
-    case Opcode::kOpenSession:
-    case Opcode::kOpenSessionAt:
-    case Opcode::kSnapshotOpen:
-    case Opcode::kSnapshotGet:
-    case Opcode::kSnapshotExtent:
-    case Opcode::kSnapshotSelect:
-    case Opcode::kSnapshotClose:
-    case Opcode::kShardInfo:
-      break;  // handled above
-  }
-  return error(Status::Internal("unhandled opcode"));
+  Handlers::Ctx ctx{db_, conn, conn.session.get()};
+  std::string response;
+  ForEachRpc([&]<typename Row>() {
+    if (op == Row::kOpcode) response = Handlers::Run<Row>(ctx, frame.body);
+  });
+  if (!conn.hello_done) *close_after = true;  // the hello itself failed
+  return response;
 }
 
 }  // namespace tse::net

@@ -153,6 +153,9 @@ class Server {
   /// Pushes to the bounded queue; false + kOverloaded reply when full.
   bool TryEnqueue(Request request);
 
+  /// One handler per opcode-table row (net/protocol.h); server.cc.
+  struct Handlers;
+
   /// Executes one request against the connection (I/O-free), returning
   /// the encoded response frame. Sets `*close_after` for protocol
   /// violations that forfeit the connection (bad hello, framing abuse).

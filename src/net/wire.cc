@@ -1,6 +1,9 @@
 #include "net/wire.h"
 
+#include <array>
 #include <cstring>
+
+#include "net/protocol.h"
 
 namespace tse::net {
 
@@ -13,57 +16,28 @@ void AppendRaw(std::string* out, T v) {
   out->append(buf, sizeof(T));
 }
 
+/// Wire names indexed by opcode byte; null where the opcode table
+/// (net/protocol.h) has no row.
+constexpr std::array<const char*, 256> kOpcodeNames = [] {
+  std::array<const char*, 256> names{};
+  ForEachRpc([&]<typename Row>() {
+    names[static_cast<uint8_t>(Row::kOpcode)] = Row::kName;
+  });
+  return names;
+}();
+
 }  // namespace
 
-bool IsKnownOpcode(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(Opcode::kHello) &&
-         raw <= static_cast<uint8_t>(Opcode::kSchemaAbort);
-}
+bool IsKnownOpcode(uint8_t raw) { return kOpcodeNames[raw] != nullptr; }
 
 const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kHello: return "hello";
-    case Opcode::kPing: return "ping";
-    case Opcode::kOpenSession: return "open_session";
-    case Opcode::kOpenSessionAt: return "open_session_at";
-    case Opcode::kSessionInfo: return "session_info";
-    case Opcode::kResolve: return "resolve";
-    case Opcode::kGet: return "get";
-    case Opcode::kExtent: return "extent";
-    case Opcode::kViewToString: return "view_to_string";
-    case Opcode::kListClasses: return "list_classes";
-    case Opcode::kCreate: return "create";
-    case Opcode::kSet: return "set";
-    case Opcode::kAdd: return "add";
-    case Opcode::kRemove: return "remove";
-    case Opcode::kDelete: return "delete";
-    case Opcode::kBegin: return "begin";
-    case Opcode::kCommit: return "commit";
-    case Opcode::kRollback: return "rollback";
-    case Opcode::kApply: return "apply";
-    case Opcode::kRefresh: return "refresh";
-    case Opcode::kStats: return "stats";
-    case Opcode::kAddBaseClass: return "add_base_class";
-    case Opcode::kCreateView: return "create_view";
-    case Opcode::kSnapshotOpen: return "snapshot_open";
-    case Opcode::kSnapshotGet: return "snapshot_get";
-    case Opcode::kSnapshotExtent: return "snapshot_extent";
-    case Opcode::kSnapshotSelect: return "snapshot_select";
-    case Opcode::kSnapshotClose: return "snapshot_close";
-    case Opcode::kShardInfo: return "shard_info";
-    case Opcode::kSelect: return "select";
-    case Opcode::kSchemaPrepare: return "schema_prepare";
-    case Opcode::kSchemaFlip: return "schema_flip";
-    case Opcode::kSchemaAbort: return "schema_abort";
-  }
-  return "unknown";
+  const char* name = kOpcodeNames[static_cast<uint8_t>(op)];
+  return name != nullptr ? name : "unknown";
 }
 
 void AppendU8(std::string* out, uint8_t v) { AppendRaw(out, v); }
-void AppendU16(std::string* out, uint16_t v) { AppendRaw(out, v); }
 void AppendU32(std::string* out, uint32_t v) { AppendRaw(out, v); }
 void AppendU64(std::string* out, uint64_t v) { AppendRaw(out, v); }
-void AppendI32(std::string* out, int32_t v) { AppendRaw(out, v); }
 
 void AppendString(std::string* out, const std::string& s) {
   AppendU32(out, static_cast<uint32_t>(s.size()));
@@ -106,35 +80,22 @@ Result<uint8_t> Cursor::U8() {
   return static_cast<uint8_t>(data_[pos_++]);
 }
 
-Result<uint16_t> Cursor::U16() {
-  TSE_RETURN_IF_ERROR(Need(2));
-  uint16_t v;
-  std::memcpy(&v, data_.data() + pos_, 2);
-  pos_ += 2;
-  return v;
+Status Cursor::Copy(void* out, size_t n) {
+  TSE_RETURN_IF_ERROR(Need(n));
+  std::memcpy(out, data_.data() + pos_, n);
+  pos_ += n;
+  return Status::OK();
 }
 
 Result<uint32_t> Cursor::U32() {
-  TSE_RETURN_IF_ERROR(Need(4));
   uint32_t v;
-  std::memcpy(&v, data_.data() + pos_, 4);
-  pos_ += 4;
+  TSE_RETURN_IF_ERROR(Copy(&v, sizeof(v)));
   return v;
 }
 
 Result<uint64_t> Cursor::U64() {
-  TSE_RETURN_IF_ERROR(Need(8));
   uint64_t v;
-  std::memcpy(&v, data_.data() + pos_, 8);
-  pos_ += 8;
-  return v;
-}
-
-Result<int32_t> Cursor::I32() {
-  TSE_RETURN_IF_ERROR(Need(4));
-  int32_t v;
-  std::memcpy(&v, data_.data() + pos_, 4);
-  pos_ += 4;
+  TSE_RETURN_IF_ERROR(Copy(&v, sizeof(v)));
   return v;
 }
 

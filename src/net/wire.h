@@ -25,8 +25,9 @@ namespace tse::net {
 ///
 /// A connection opens with a `kHello` exchange carrying the magic and
 /// protocol version; everything after mirrors the `tse::Session` /
-/// `tse::Db` public surface one message per entry point (docs/API.md
-/// lists the full table).
+/// `tse::Db` public surface one message per entry point. The field
+/// layout of every message is in the opcode table (net/protocol.h);
+/// docs/API.md lists it for readers.
 
 inline constexpr uint32_t kMagic = 0x31455354;  // "TSE1" little-endian
 inline constexpr uint16_t kProtoVersion = 1;
@@ -34,78 +35,59 @@ inline constexpr size_t kHeaderBytes = 4;
 inline constexpr size_t kDefaultMaxFrameBytes = 16 * 1024 * 1024;
 
 /// One message kind per public entry point; responses echo the request
-/// opcode. Values are wire-stable: append, never renumber.
+/// opcode. Values are wire-stable: append, never renumber. What each
+/// carries, and what it means, is its row in the opcode table
+/// (net/protocol.h).
 enum class Opcode : uint8_t {
   kHello = 1,
   kPing = 2,
-  // Session lifecycle (Db::OpenSession / OpenSessionAt).
   kOpenSession = 3,
   kOpenSessionAt = 4,
   kSessionInfo = 5,
-  // Session reads.
   kResolve = 6,
   kGet = 7,
   kExtent = 8,
   kViewToString = 9,
   kListClasses = 10,
-  // Session updates (Section 3.3 generic operators).
   kCreate = 11,
   kSet = 12,
   kAdd = 13,
   kRemove = 14,
   kDelete = 15,
-  // Transactions.
   kBegin = 16,
   kCommit = 17,
   kRollback = 18,
-  // Schema evolution.
   kApply = 19,
   kRefresh = 20,
-  // Server-side observability snapshot.
   kStats = 21,
-  // Global DDL (Db surface).
   kAddBaseClass = 22,
   kCreateView = 23,
-  // Snapshot reads (MVCC; appended by protocol revision "snapshot").
-  // A snapshot is a per-connection server-side handle: open returns a
-  // u64 snapshot id + the pinned epoch, the read ops take that id, and
-  // close (or disconnect) releases it.
+  // Appended by protocol revision "snapshot" (MVCC reads).
   kSnapshotOpen = 24,
   kSnapshotGet = 25,
   kSnapshotExtent = 26,
   kSnapshotSelect = 27,
   kSnapshotClose = 28,
-  // Cluster support (appended by protocol revision "cluster").
-  // Shard identity + catalog epoch, so a router can verify at connect
-  // time that every shard agrees on the partition count and schema
-  // epoch. Available before a session is opened.
+  // Appended by protocol revision "cluster".
   kShardInfo = 29,
-  // Live (locked-read) predicate select over the session's view —
-  // mirrors Session::Select the way kSnapshotSelect mirrors
-  // Snapshot::Select.
   kSelect = 30,
-  // Two-phase schema change: prepare assembles the successor version
-  // without publishing and returns a per-connection token; flip
-  // publishes it (FailedPrecondition when the catalog moved since);
-  // abort — or disconnect — discards it.
   kSchemaPrepare = 31,
   kSchemaFlip = 32,
   kSchemaAbort = 33,
 };
 
-/// True when `raw` names a defined opcode.
+/// True when `raw` names an opcode with a row in the opcode table
+/// (net/protocol.h).
 bool IsKnownOpcode(uint8_t raw);
 
-/// Canonical lowercase opcode name ("get", "apply", ...) or "unknown".
+/// The row's wire name ("get", "apply", ...), or "unknown".
 const char* OpcodeName(Opcode op);
 
 // --- Encoding ---------------------------------------------------------------
 
 void AppendU8(std::string* out, uint8_t v);
-void AppendU16(std::string* out, uint16_t v);
 void AppendU32(std::string* out, uint32_t v);
 void AppendU64(std::string* out, uint64_t v);
-void AppendI32(std::string* out, int32_t v);
 void AppendString(std::string* out, const std::string& s);
 void AppendValue(std::string* out, const objmodel::Value& v);
 
@@ -127,12 +109,12 @@ class Cursor {
   explicit Cursor(const std::string& data) : data_(data) {}
 
   Result<uint8_t> U8();
-  Result<uint16_t> U16();
   Result<uint32_t> U32();
   Result<uint64_t> U64();
-  Result<int32_t> I32();
   Result<std::string> Str();
   Result<objmodel::Value> Val();
+  /// Copies the next `n` raw bytes into `out`.
+  Status Copy(void* out, size_t n);
 
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

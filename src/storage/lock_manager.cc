@@ -7,7 +7,9 @@ namespace tse::storage {
 
 bool LockManager::Compatible(const Entry& entry, uint64_t txn, LockMode mode) {
   if (mode == LockMode::kShared) {
-    // Shared is grantable unless someone *else* holds exclusive.
+    // Shared is grantable unless someone *else* holds exclusive, or a
+    // pending upgrade would be starved by one more reader.
+    if (!entry.upgraders.empty() && !entry.holders.count(txn)) return false;
     for (const auto& [holder, m] : entry.holders) {
       if (holder != txn && m == LockMode::kExclusive) return false;
     }
@@ -35,14 +37,29 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
     }
     if (Compatible(entry, txn.value(), mode)) {
       entry.holders[txn.value()] = mode;
+      entry.upgraders.erase(txn.value());
       TSE_COUNT("storage.lock.acquires");
       return Status::OK();
     }
+    if (held != entry.holders.end()) {
+      // A shared holder asking for exclusive. If another holder is
+      // already waiting to upgrade, each waits on the other forever.
+      if (!entry.upgraders.empty() && !entry.upgraders.count(txn.value())) {
+        TSE_COUNT("storage.lock.timeouts");
+        return Status::Aborted(StrCat("upgrade deadlock on resource ",
+                                      resource, " for txn ", txn.value()));
+      }
+      entry.upgraders.insert(txn.value());
+    }
     TSE_COUNT("storage.lock.waits");
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      // Drop the entry if our lookup created it and nobody holds it.
+      // Drop the entry if our lookup created it and nobody holds it. An
+      // upgrader still holds its shared lock, so the entry survives it.
       auto it = table_.find(resource);
-      if (it != table_.end() && it->second.holders.empty()) table_.erase(it);
+      if (it != table_.end()) {
+        if (it->second.upgraders.erase(txn.value())) cv_.notify_all();
+        if (it->second.holders.empty()) table_.erase(it);
+      }
       TSE_COUNT("storage.lock.timeouts");
       return Status::Aborted(
           StrCat("lock timeout on resource ", resource, " for txn ",

@@ -25,6 +25,13 @@ enum class LockMode : uint8_t {
 /// expiry returns Aborted, which callers treat as a deadlock signal
 /// (timeout-based deadlock resolution, as in many production systems).
 ///
+/// Lock upgrades are the one deadlock detected without waiting: two
+/// shared holders that both ask for exclusive can never both succeed,
+/// so the second asker is aborted at once. While an upgrade is pending,
+/// new shared requests from non-holders wait behind it, so a stream of
+/// fresh readers cannot starve the upgrader. Together these keep
+/// read-then-write transactions that retry on abort from livelocking.
+///
 /// This provides the "concurrency control" half of the GemStone
 /// substrate in the paper's architecture (Figure 6).
 class LockManager {
@@ -38,7 +45,8 @@ class LockManager {
 
   /// Acquires `mode` on `resource` for `txn`. Re-entrant: a transaction
   /// already holding a sufficient lock succeeds immediately; a shared
-  /// holder requesting exclusive is upgraded when it is the only holder.
+  /// holder requesting exclusive is upgraded when it is the only holder,
+  /// and aborted at once if another holder is already waiting to upgrade.
   Status Acquire(TxnId txn, uint64_t resource, LockMode mode);
 
   /// Releases one resource held by `txn`.
@@ -57,6 +65,8 @@ class LockManager {
   struct Entry {
     // txn -> mode currently granted.
     std::unordered_map<uint64_t, LockMode> holders;
+    // Shared holders currently waiting to upgrade to exclusive.
+    std::unordered_set<uint64_t> upgraders;
     bool HasExclusive() const {
       for (const auto& [_, m] : holders) {
         if (m == LockMode::kExclusive) return true;

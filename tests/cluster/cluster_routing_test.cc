@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "net/client.h"
+#include "cluster/client.h"
 #include "cluster/cluster.h"
 
 namespace {

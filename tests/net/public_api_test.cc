@@ -139,8 +139,10 @@ TEST(PublicApiTest, RemoteSurface) {
   ASSERT_TRUE(client->Apply("add_attribute zip:string to Person").ok());
   EXPECT_EQ(client->view_version(), 2);
 
-  // Remote snapshot handles mirror the embedded tse::Snapshot surface.
-  std::unique_ptr<tse::Client::Snapshot> snap = client->GetSnapshot().value();
+  // Remote snapshot handles mirror the embedded tse::Snapshot surface;
+  // GetSnapshot is the Backend one, the by-name and explicit-epoch
+  // opens return the concrete tse::Client::Snapshot.
+  std::unique_ptr<tse::SnapshotHandle> snap = client->GetSnapshot().value();
   EXPECT_EQ(snap->view_name(), "V");
   EXPECT_EQ(snap->Get(eve, "Person", "name").value(), Value::Str("eve"));
   EXPECT_EQ(snap->GetAttr(eve, "Person", "name").value(), Value::Str("eve"));
@@ -150,20 +152,21 @@ TEST(PublicApiTest, RemoteSurface) {
   EXPECT_EQ(extent.size(), 1u);
   EXPECT_FALSE(snap->Select("Person", "name == \"eve\"").value().empty());
   uint64_t pinned = snap->epoch();
-  snap = client->OpenSnapshot("V").value();
-  EXPECT_GT(snap->epoch(), pinned);
-  EXPECT_EQ(snap->Get(eve, "Person", "name").value(), Value::Str("eva"));
-  snap = client->OpenSnapshotAt(snap->view_id(), snap->epoch()).value();
+  std::unique_ptr<tse::Client::Snapshot> named =
+      client->OpenSnapshot("V").value();
+  EXPECT_GT(named->epoch(), pinned);
+  EXPECT_EQ(named->Get(eve, "Person", "name").value(), Value::Str("eva"));
+  named = client->OpenSnapshotAt(named->view_id(), named->epoch()).value();
+  named.reset();
   snap.reset();
 
-  // Live selects, shard identity, and the server stats snapshot —
-  // ServerStats is the deprecated alias kept one release for Stats.
+  // Live selects, shard identity, and the server stats snapshot.
   EXPECT_FALSE(client->Select("Person", "name == \"eva\"").value().empty());
   tse::Client::ShardIdentity identity = client->GetShardInfo().value();
   EXPECT_EQ(identity.shard_id, 0u);
   EXPECT_EQ(identity.shard_count, 1u);
   EXPECT_FALSE(client->Stats().value().empty());
-  EXPECT_FALSE(client->ServerStats(/*as_json=*/true).value().empty());
+  EXPECT_FALSE(client->Stats(/*as_json=*/true).value().empty());
   server.Stop();
 }
 

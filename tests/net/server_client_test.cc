@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <tse/client.h>
 #include <tse/db.h>
@@ -118,7 +120,7 @@ TEST_F(ServerClientTest, FullSessionSurfaceOverTheWire) {
                   .ok());
 
   // Server stats come back as text (empty under TSE_OBS_DISABLE).
-  auto stats = client->ServerStats();
+  auto stats = client->Stats();
   ASSERT_TRUE(stats.ok());
 #ifndef TSE_OBS_DISABLE
   EXPECT_NE(stats.value().find("net.server.requests"), std::string::npos);
@@ -208,7 +210,7 @@ TEST_F(ServerClientTest, OnlineSchemaChangeMidPipelineDrainsNoConnection) {
   EXPECT_EQ(evolver->Get(oid, "Student", "gpa").value(), Value::Real(3.5));
 
   // The online schema-change counters surface over the wire.
-  auto stats = evolver->ServerStats();
+  auto stats = evolver->Stats();
   ASSERT_TRUE(stats.ok());
 #ifndef TSE_OBS_DISABLE
   EXPECT_NE(stats.value().find("db.schema_change.online.publishes"),
@@ -295,10 +297,8 @@ class RawConn {
   }
 
   void SendHello() {
-    std::string body;
-    net::AppendU32(&body, net::kMagic);
-    net::AppendU16(&body, net::kProtoVersion);
-    SendRaw(net::EncodeFrame(net::Opcode::kHello, body));
+    SendRaw(net::EncodeRequest<net::op::Hello>(net::kMagic,
+                                               net::kProtoVersion));
     net::Response response;
     ASSERT_TRUE(RecvResponse(&response));
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
@@ -369,10 +369,8 @@ TEST_F(ServerClientTest, NonHelloFirstFrameForfeitsConnection) {
 TEST_F(ServerClientTest, BadMagicForfeitsConnection) {
   StartServer();
   RawConn conn(server_->port());
-  std::string body;
-  net::AppendU32(&body, 0x0BADF00D);
-  net::AppendU16(&body, net::kProtoVersion);
-  conn.SendRaw(net::EncodeFrame(net::Opcode::kHello, body));
+  conn.SendRaw(net::EncodeRequest<net::op::Hello>(uint32_t{0x0BADF00D},
+                                                  net::kProtoVersion));
   net::Response response;
   ASSERT_TRUE(conn.RecvResponse(&response));
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
@@ -426,6 +424,29 @@ TEST_F(ServerClientTest, TruncatedBodyFieldGetsCorruptionNotCrash) {
   net::Response response;
   ASSERT_TRUE(conn.RecvResponse(&response));
   EXPECT_TRUE(response.status.IsCorruption());
+
+  // List counts are the peer's claim: an empty name then a count of
+  // 2^32-1 must be refused before anything is allocated (create_view's
+  // frame is 13 bytes), and so must a body with a byte left over after
+  // its last field. The connection keeps serving either way.
+  std::string huge_list;
+  net::AppendString(&huge_list, "");
+  net::AppendU32(&huge_list, 0xFFFFFFFF);
+  const std::vector<std::string> abuse = {
+      net::EncodeFrame(net::Opcode::kCreateView, huge_list),
+      net::EncodeFrame(net::Opcode::kAddBaseClass, huge_list),
+      net::EncodeFrame(net::Opcode::kCreate, huge_list),
+      net::EncodeFrame(net::Opcode::kPing, std::string(1, '\0')),
+  };
+  EXPECT_EQ(abuse[0].size(), 13u);
+  for (const std::string& frame : abuse) {
+    conn.SendRaw(frame);
+    ASSERT_TRUE(conn.RecvResponse(&response));
+    EXPECT_TRUE(response.status.IsCorruption()) << response.status.ToString();
+    conn.SendRaw(net::EncodeFrame(net::Opcode::kPing, ""));
+    ASSERT_TRUE(conn.RecvResponse(&response));
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
 }
 
 TEST_F(ServerClientTest, PipelineDepthOverloadIsExplicit) {
@@ -473,10 +494,8 @@ TEST_F(ServerClientTest, QueueWaitBeyondDeadlineTimesOut) {
   // enqueue and execution — the worker must answer kTimeout without
   // running the handler.
   RawConn conn(server_->port());
-  std::string body;
-  net::AppendU32(&body, net::kMagic);
-  net::AppendU16(&body, net::kProtoVersion);
-  conn.SendRaw(net::EncodeFrame(net::Opcode::kHello, body));
+  conn.SendRaw(
+      net::EncodeRequest<net::op::Hello>(net::kMagic, net::kProtoVersion));
   net::Response response;
   ASSERT_TRUE(conn.RecvResponse(&response));
   EXPECT_TRUE(response.status.IsTimeout()) << response.status.ToString();

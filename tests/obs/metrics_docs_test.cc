@@ -26,7 +26,7 @@
 #include "evolution/change_parser.h"
 #include "evolution/tse_manager.h"
 #include "cluster/backend.h"
-#include "net/client.h"
+#include "cluster/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "storage/lock_manager.h"

@@ -47,6 +47,50 @@ TEST(LockManagerTest, UpgradeBlockedByOtherReader) {
   EXPECT_TRUE(lm.Acquire(TxnId(1), 7, LockMode::kExclusive).IsAborted());
 }
 
+TEST(LockManagerTest, SecondUpgraderAbortsAtOnce) {
+  LockManager lm(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(lm.Acquire(TxnId(1), 7, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Acquire(TxnId(2), 7, LockMode::kShared).ok());
+  std::atomic<bool> upgraded{false};
+  std::thread first([&] {
+    upgraded = lm.Acquire(TxnId(1), 7, LockMode::kExclusive).ok();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Txn 2 would wait on txn 1's upgrade and txn 1 on txn 2's shared
+  // lock: aborted without waiting out the 2 s deadline.
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(lm.Acquire(TxnId(2), 7, LockMode::kExclusive).IsAborted());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+  lm.ReleaseAll(TxnId(2));
+  first.join();
+  EXPECT_TRUE(upgraded.load());
+  EXPECT_TRUE(lm.Holds(TxnId(1), 7, LockMode::kExclusive));
+}
+
+TEST(LockManagerTest, NewReaderWaitsBehindPendingUpgrade) {
+  LockManager lm(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(lm.Acquire(TxnId(1), 7, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Acquire(TxnId(2), 7, LockMode::kShared).ok());
+  std::thread upgrader([&] {
+    EXPECT_TRUE(lm.Acquire(TxnId(1), 7, LockMode::kExclusive).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<bool> read{false};
+  std::thread reader([&] {
+    read = lm.Acquire(TxnId(3), 7, LockMode::kShared).ok();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(read.load());
+  lm.ReleaseAll(TxnId(2));
+  upgrader.join();
+  EXPECT_TRUE(lm.Holds(TxnId(1), 7, LockMode::kExclusive));
+  EXPECT_FALSE(read.load());
+  lm.ReleaseAll(TxnId(1));
+  reader.join();
+  EXPECT_TRUE(read.load());
+}
+
 TEST(LockManagerTest, ReleaseWakesWaiter) {
   LockManager lm(std::chrono::milliseconds(2000));
   ASSERT_TRUE(lm.Acquire(TxnId(1), 7, LockMode::kExclusive).ok());
