@@ -89,7 +89,12 @@ ShardProc SpawnShard(int shard_id, int shard_count, const std::string& dir) {
                     " --port 0 2>&1 & echo pid $!; wait $!";
   p.pipe = popen(cmd.c_str(), "r");
   if (p.pipe == nullptr) return p;
+  // The shell's "pid" echo and the server's banner race for the pipe:
+  // either may come first.
   std::string banner = ReadUntil(p.pipe, "listening on ");
+  if (banner.find("pid ") == std::string::npos) {
+    banner += ReadUntil(p.pipe, "pid ");
+  }
   auto pid_at = banner.find("pid ");
   auto port_at = banner.find("listening on 127.0.0.1:");
   if (pid_at == std::string::npos || port_at == std::string::npos) return p;

@@ -83,16 +83,16 @@ int main() {
   auto dashboard = db->OpenSession("EngDashboard").value();
   // Type closure pulled in the referenced classes automatically.
   std::cout << "dashboard view (type closure added referenced classes):\n"
-            << dashboard->ViewToString() << "\n\n";
+            << dashboard->ViewToString().value() << "\n\n";
 
   std::cout << "engineering documents: "
-            << dashboard->Extent("EngDoc").value()->size() << " of "
-            << clerk->Extent("Document").value()->size() << " total\n\n";
+            << dashboard->Extent("EngDoc").value().size() << " of "
+            << clerk->Extent("Document").value().size() << " total\n\n";
 
   // --- Evolution: the archivist needs a retention class -------------------
   // The dashboard session applies the change and transparently rebinds.
   dashboard->Apply("add_attribute retention_years:int to EngDoc").value();
-  const std::set<Oid> eng_members = *dashboard->Extent("EngDoc").value();
+  const std::vector<Oid> eng_members = dashboard->Extent("EngDoc").value();
   for (Oid doc : eng_members) {
     dashboard->Set(doc, "EngDoc", "retention_years", Value::Int(7)).ok();
   }

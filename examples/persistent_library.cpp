@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
     // Tag every recovered book with a shelf — the new stored attribute
     // attaches to old objects without any migration.
-    const auto books = *librarian->Extent("Book").value();
+    const auto books = librarian->Extent("Book").value();
     int shelf = 1;
     for (Oid oid : books) {
       librarian->Set(oid, "Book", "shelf", Value::Int(shelf++)).ok();

@@ -51,7 +51,7 @@ int main() {
   // The third engineer merges VS.1 and VS.2 (Figure 16's VS.3).
   ViewId vs3 = db->MergeViews(vs1, vs2, "CAD-merged").value();
   auto engineer = db->OpenSessionAt(vs3).value();
-  std::cout << "merged view:\n" << engineer->ViewToString() << "\n\n";
+  std::cout << "merged view:\n" << engineer->ViewToString().value() << "\n\n";
 
   // Identical classes merged; same-named distinct classes disambiguated.
   const view::ViewSchema* merged = db->views().GetView(vs3).value();

@@ -2,7 +2,8 @@
 //
 // A `tse::Session` is bound to one view version: reads, generic
 // updates, strict-2PL transactions, and transparent schema evolution,
-// all addressed by display names in the bound view.
+// all addressed by display names in the bound view. It is also the
+// embedded `tse::Backend`: what `tse::Connect("embedded:…")` returns.
 #ifndef TSE_PUBLIC_SESSION_H_
 #define TSE_PUBLIC_SESSION_H_
 

@@ -406,8 +406,9 @@ std::set<Oid>* ExtentEvaluator::MutableSet(Entry* entry) const {
   return entry->extent.get();
 }
 
-Result<ExtentEvaluator::ExtentPtr> ExtentEvaluator::Extent(
-    ClassId cls) const {
+template <typename Fn>
+auto ExtentEvaluator::WithExtent(ClassId cls, Fn fn) const
+    -> Result<decltype(fn(ExtentPtr()))> {
   {
     // Fast path: fully synced cache hit under the shared lock — the
     // steady state for concurrent session reads.
@@ -417,7 +418,7 @@ Result<ExtentEvaluator::ExtentPtr> ExtentEvaluator::Extent(
       if (hit != cache_.end()) {
         stats_.hits.fetch_add(1, std::memory_order_relaxed);
         TSE_COUNT("algebra.extent.cache_hits");
-        return ExtentPtr(hit->second.extent);
+        return fn(ExtentPtr(hit->second.extent));
       }
     }
   }
@@ -427,14 +428,25 @@ Result<ExtentEvaluator::ExtentPtr> ExtentEvaluator::Extent(
   if (hit != cache_.end()) {
     stats_.hits.fetch_add(1, std::memory_order_relaxed);
     TSE_COUNT("algebra.extent.cache_hits");
-    return ExtentPtr(hit->second.extent);
+    return fn(ExtentPtr(hit->second.extent));
   }
   stats_.misses.fetch_add(1, std::memory_order_relaxed);
   TSE_COUNT("algebra.extent.cache_misses");
   std::set<ClassId> in_progress;
   TSE_ASSIGN_OR_RETURN(std::shared_ptr<std::set<Oid>> out,
                        EvalWithMemo(cls, &in_progress));
-  return ExtentPtr(std::move(out));
+  return fn(ExtentPtr(std::move(out)));
+}
+
+Result<ExtentEvaluator::ExtentPtr> ExtentEvaluator::Extent(
+    ClassId cls) const {
+  return WithExtent(cls, [](ExtentPtr extent) { return extent; });
+}
+
+Result<std::vector<Oid>> ExtentEvaluator::ExtentVector(ClassId cls) const {
+  return WithExtent(cls, [](ExtentPtr extent) {
+    return std::vector<Oid>(extent->begin(), extent->end());
+  });
 }
 
 Result<bool> ExtentEvaluator::IsMember(Oid oid, ClassId cls) const {

@@ -9,6 +9,7 @@
 #include <set>
 #include <shared_mutex>
 #include <utility>
+#include <vector>
 
 #include "algebra/extent_deps.h"
 #include "algebra/object_accessor.h"
@@ -86,6 +87,12 @@ class ExtentEvaluator {
 
   /// The global extent of `cls` as a shared snapshot.
   Result<ExtentPtr> Extent(ClassId cls) const;
+
+  /// The global extent of `cls` copied out in oid order. The copy is
+  /// taken under the cache lock: a caller that reads a held ExtentPtr
+  /// and then drops it is ordered against a later in-place delta only
+  /// through the pointer's relaxed use count.
+  Result<std::vector<Oid>> ExtentVector(ClassId cls) const;
 
   /// Membership test. Served from the cache when the class's extent is
   /// materialized; otherwise walks the derivation per object —
@@ -211,6 +218,11 @@ class ExtentEvaluator {
   void DropEntryAndDependents(ClassId cls) const;
   void DropAll() const;
   std::set<Oid>* MutableSet(Entry* entry) const;
+  /// Extent/ExtentVector body: runs `fn` on the (synced) cached extent
+  /// with the cache lock still held.
+  template <typename Fn>
+  auto WithExtent(ClassId cls, Fn fn) const
+      -> Result<decltype(fn(ExtentPtr()))>;
 
   /// Fills `out` with the select's members over `source`, dispatching
   /// on the planner's chosen arm. Requires the exclusive lock.

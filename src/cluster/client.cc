@@ -100,6 +100,14 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
   return client;
 }
 
+Result<std::unique_ptr<Backend>> Client::Clone() {
+  TSE_ASSIGN_OR_RETURN(auto endpoint,
+                       cluster_internal::ParseHostPort(where_.substr(4)));
+  TSE_ASSIGN_OR_RETURN(auto clone,
+                       Connect(endpoint.first, endpoint.second, options_));
+  return std::unique_ptr<Backend>(std::move(clone));
+}
+
 Client::~Client() {
   if (fd_ >= 0) close(fd_);
 }

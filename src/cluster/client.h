@@ -59,6 +59,8 @@ class Client final : public Backend {
   // The identity is cached from the last session-binding response.
 
   std::string Where() const override { return where_; }
+  /// A fresh connection to the same server, with the same options.
+  Result<std::unique_ptr<Backend>> Clone() override;
   std::string view_name() const override { return session_.view_name; }
   ViewId view_id() const override { return session_.view_id; }
   int view_version() const override { return session_.view_version; }
@@ -95,7 +97,7 @@ class Client final : public Backend {
 
     uint64_t epoch() const override { return info_.epoch; }
     std::string view_name() const override { return info_.view_name; }
-    [[nodiscard]] ViewId view_id() const { return info_.view_id; }
+    ViewId view_id() const override { return info_.view_id; }
     int view_version() const override {
       return static_cast<int>(info_.view_version);
     }

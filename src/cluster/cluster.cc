@@ -10,12 +10,6 @@ namespace tse {
 
 using objmodel::Value;
 
-namespace cluster_internal {
-// backend.cc
-Result<std::pair<std::string, uint16_t>> ParseHostPort(
-    const std::string& host_port);
-}  // namespace cluster_internal
-
 Result<std::unique_ptr<Cluster>> Cluster::Connect(
     const std::vector<std::string>& endpoints, ClientOptions options) {
   if (endpoints.empty()) {
@@ -64,6 +58,15 @@ Result<std::unique_ptr<Cluster>> Cluster::Connect(
   }
   return std::unique_ptr<Cluster>(new Cluster(std::move(shards),
                                               std::move(where)));
+}
+
+Result<std::unique_ptr<Backend>> Cluster::Clone() {
+  std::vector<std::string> endpoints;
+  for (const auto& shard : shards_) {
+    endpoints.push_back(shard->Where().substr(4));  // strip "tcp:"
+  }
+  TSE_ASSIGN_OR_RETURN(auto clone, Connect(endpoints));
+  return std::unique_ptr<Backend>(std::move(clone));
 }
 
 template <typename Fn>
@@ -136,6 +139,7 @@ class ClusterSnapshot final : public SnapshotHandle {
 
   uint64_t epoch() const override { return snaps_[0]->epoch(); }
   std::string view_name() const override { return snaps_[0]->view_name(); }
+  ViewId view_id() const override { return snaps_[0]->view_id(); }
   int view_version() const override { return snaps_[0]->view_version(); }
 
   Result<Value> Get(Oid oid, const std::string& class_name,

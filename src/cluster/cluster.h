@@ -55,6 +55,8 @@ class Cluster final : public Backend {
   // --- Backend ----------------------------------------------------------
 
   std::string Where() const override { return where_; }
+  /// Fresh connections to the same shard endpoints.
+  Result<std::unique_ptr<Backend>> Clone() override;
   std::string view_name() const override { return shards_[0]->view_name(); }
   ViewId view_id() const override { return shards_[0]->view_id(); }
   int view_version() const override { return shards_[0]->view_version(); }

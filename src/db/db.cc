@@ -408,18 +408,15 @@ Result<const view::ViewSchema*> Db::CurrentPublished(
 
 Result<std::unique_ptr<Session>> Db::OpenSession(
     const std::string& view_name) {
-  std::shared_lock<std::shared_mutex> lock(schema_mu_);
-  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* vs,
-                       CurrentPublished(view_name));
-  TSE_COUNT("db.session.opens");
-  return std::unique_ptr<Session>(new Session(this, vs));
+  auto session = std::make_unique<Session>(this);
+  TSE_RETURN_IF_ERROR(session->OpenSession(view_name));
+  return session;
 }
 
 Result<std::unique_ptr<Session>> Db::OpenSessionAt(ViewId view_id) {
-  std::shared_lock<std::shared_mutex> lock(schema_mu_);
-  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* vs, views_->GetView(view_id));
-  TSE_COUNT("db.session.opens");
-  return std::unique_ptr<Session>(new Session(this, vs));
+  auto session = std::make_unique<Session>(this);
+  TSE_RETURN_IF_ERROR(session->OpenSessionAt(view_id));
+  return session;
 }
 
 Status Db::Save() {

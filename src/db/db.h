@@ -218,7 +218,8 @@ class Db {
 
   // --- Sessions ---------------------------------------------------------
 
-  /// Binds a new session to the *current* version of `view_name`
+  /// A new session borrowing this Db, bound with
+  /// Session::OpenSession to the *current* version of `view_name`
   /// (NotFound when no such logical view exists). The session stays
   /// pinned to that version until it evolves the view itself or calls
   /// Refresh(). Sessions must not outlive the Db.

@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <shared_mutex>
+#include <sstream>
 #include <utility>
 
 #include "db/db.h"
@@ -57,10 +58,16 @@ class MvccWriteGuard {
 
 }  // namespace
 
-Session::Session(Db* db, const view::ViewSchema* view)
-    : db_(db), view_(view), bound_epoch_(db->epoch()) {}
+Session::Session(std::shared_ptr<Db> db) : db_(std::move(db)) {}
 
-Session::~Session() {
+// The aliasing constructor with an empty owner: a non-owning pointer.
+Session::Session(Db* db)
+    : Session(std::shared_ptr<Db>(std::shared_ptr<Db>(), db)) {}
+
+Session::~Session() { Unbind(); }
+
+void Session::Unbind() {
+  if (!bound()) return;
   if (in_transaction()) {
     Status rollback = Rollback();
     (void)rollback;
@@ -68,19 +75,76 @@ Session::~Session() {
   TSE_COUNT("db.session.closes");
 }
 
-const std::string& Session::view_name() const { return view_->logical_name(); }
-ViewId Session::view_id() const { return view_->id(); }
-int Session::view_version() const { return view_->version(); }
+Status Session::RequireSession() const {
+  if (!bound()) {
+    return Status::FailedPrecondition("no session open; call OpenSession");
+  }
+  return Status::OK();
+}
+
+std::string Session::Where() const {
+  return "embedded:" + db_->options().data_dir;
+}
+std::string Session::view_name() const {
+  return bound() ? view_->logical_name() : std::string();
+}
+ViewId Session::view_id() const { return bound() ? view_->id() : ViewId(); }
+int Session::view_version() const { return bound() ? view_->version() : 0; }
+
+// --- Binding ---------------------------------------------------------------
+
+Result<std::unique_ptr<Backend>> Session::Clone() {
+  return std::unique_ptr<Backend>(new Session(db_));
+}
+
+Status Session::Bind(const view::ViewSchema* view) {
+  Unbind();
+  view_ = view;
+  bound_epoch_ = db_->epoch();
+  TSE_COUNT("db.session.opens");
+  return Status::OK();
+}
+
+Status Session::OpenSession(const std::string& view_name) {
+  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* view,
+                       db_->CurrentPublished(view_name));
+  schema_lock.unlock();  // Bind's rollback takes the latch itself
+  return Bind(view);
+}
+
+Status Session::OpenSessionAt(ViewId view_id) {
+  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* view,
+                       db_->views_->GetView(view_id));
+  schema_lock.unlock();
+  return Bind(view);
+}
+
+Status Session::Refresh() {
+  TSE_RETURN_IF_ERROR(RequireSession());
+  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* current,
+                       db_->CurrentPublished(view_->logical_name()));
+  view_ = current;
+  bound_epoch_ = db_->epoch();
+  TSE_COUNT("db.session.refreshes");
+  return Status::OK();
+}
 
 // --- Reads -----------------------------------------------------------------
 
-Result<ClassId> Session::Resolve(const std::string& display_name) const {
+Result<ClassId> Session::Resolve(const std::string& display_name) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   return view_->Resolve(display_name);
 }
 
-Result<std::unique_ptr<Snapshot>> Session::GetSnapshot() const {
-  return db_->OpenSnapshotAt(view_->id(), db_->visible_epoch());
+Result<std::unique_ptr<SnapshotHandle>> Session::GetSnapshot() {
+  TSE_RETURN_IF_ERROR(RequireSession());
+  TSE_ASSIGN_OR_RETURN(std::unique_ptr<Snapshot> snap,
+                       db_->OpenSnapshotAt(view_->id(), db_->visible_epoch()));
+  return std::unique_ptr<SnapshotHandle>(std::move(snap));
 }
 
 void Session::TouchForRead(Oid oid) const {
@@ -93,57 +157,58 @@ void Session::TouchForRead(Oid oid) const {
   db_->backfill_->MaterializeObject(oid);
 }
 
+Status Session::LockForTxn(Oid oid, bool exclusive) {
+  if (!in_transaction()) return Status::OK();
+  return exclusive ? txn_->LockExclusive(oid) : txn_->LockShared(oid);
+}
+
 Result<objmodel::Value> Session::Get(Oid oid, const std::string& class_name,
-                                     const std::string& path) const {
+                                     const std::string& path) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.read_us");
+  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/false));
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   TSE_COUNT("db.session.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
   TouchForRead(oid);
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-  if (txn_ && txn_->active()) return txn_->Read(oid, cls, path);
+  if (in_transaction()) return txn_->Read(oid, cls, path);
   return db_->engine_->accessor().Read(oid, cls, path);
 }
 
-Result<objmodel::Value> Session::GetAttr(Oid oid,
-                                         const std::string& class_name,
-                                         const std::string& attr) const {
-  return Get(oid, class_name, attr);
-}
-
-Result<algebra::ExtentEvaluator::ExtentPtr> Session::Extent(
-    const std::string& class_name) const {
+Result<std::vector<Oid>> Session::Extent(const std::string& class_name) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.read_us");
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   TSE_COUNT("db.session.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-  algebra::ExtentEvaluator::ExtentPtr ext;
+  std::vector<Oid> members;
   {
     std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    TSE_ASSIGN_OR_RETURN(ext, db_->extents_->Extent(cls));
+    TSE_ASSIGN_OR_RETURN(members, db_->extents_->ExtentVector(cls));
   }
   // Extent-scan first touch: the caller is about to iterate these
   // members, so make their pending slices real.
   if (db_->backfill_->pending_any()) {
     std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    db_->backfill_->MaterializeMembers(*ext);
+    db_->backfill_->MaterializeMembers(members);
   }
-  return ext;
+  return members;
 }
 
-Result<std::vector<Oid>> Session::Select(
-    const std::string& class_name, const std::string& predicate_text) const {
+Result<std::vector<Oid>> Session::Select(const std::string& class_name,
+                                         const std::string& predicate_text) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.read_us");
   TSE_ASSIGN_OR_RETURN(objmodel::MethodExpr::Ptr predicate,
                        objmodel::ParseExpr(predicate_text));
-  TSE_ASSIGN_OR_RETURN(algebra::ExtentEvaluator::ExtentPtr extent,
-                       Extent(class_name));
+  TSE_ASSIGN_OR_RETURN(std::vector<Oid> extent, Extent(class_name));
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
   std::vector<Oid> out;
   const algebra::ObjectAccessor& accessor = db_->engine_->accessor();
-  for (Oid oid : *extent) {
+  for (Oid oid : extent) {
     TSE_ASSIGN_OR_RETURN(objmodel::Value v,
                          predicate->Evaluate(oid, accessor.ResolverFor(oid, cls)));
     TSE_ASSIGN_OR_RETURN(bool keep, v.AsBool());
@@ -152,9 +217,21 @@ Result<std::vector<Oid>> Session::Select(
   return out;
 }
 
-std::string Session::ViewToString() const {
+Result<std::string> Session::ViewToString() {
+  TSE_RETURN_IF_ERROR(RequireSession());
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   return view_->ToString();
+}
+
+Result<std::vector<std::string>> Session::ListClasses() {
+  TSE_RETURN_IF_ERROR(RequireSession());
+  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+  std::vector<std::string> names;
+  for (ClassId cls : view_->classes()) {
+    TSE_ASSIGN_OR_RETURN(std::string name, view_->DisplayName(cls));
+    names.push_back(std::move(name));
+  }
+  return names;
 }
 
 // --- Updates ---------------------------------------------------------------
@@ -173,6 +250,7 @@ Status Session::PersistAndCommit(Oid oid) {
 
 Result<Oid> Session::Create(const std::string& class_name,
                             const std::vector<update::Assignment>& assignments) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
   Oid oid;
   {
@@ -183,7 +261,7 @@ Result<Oid> Session::Create(const std::string& class_name,
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
-    if (txn_ && txn_->active()) {
+    if (in_transaction()) {
       TSE_ASSIGN_OR_RETURN(oid, txn_->Create(cls, assignments));
       txn_touched_.push_back(oid);
       return oid;
@@ -197,7 +275,9 @@ Result<Oid> Session::Create(const std::string& class_name,
 
 Status Session::Set(Oid oid, const std::string& class_name,
                     const std::string& name, objmodel::Value value) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
+  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
   {
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
     TSE_COUNT("db.session.updates");
@@ -207,7 +287,7 @@ Status Session::Set(Oid oid, const std::string& class_name,
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
-    if (txn_ && txn_->active()) {
+    if (in_transaction()) {
       TSE_RETURN_IF_ERROR(txn_->Set(oid, cls, name, std::move(value)));
       txn_touched_.push_back(oid);
       return Status::OK();
@@ -218,8 +298,28 @@ Status Session::Set(Oid oid, const std::string& class_name,
   return PersistAndCommit(oid);
 }
 
+Status Session::SetFromText(Oid oid, const std::string& class_name,
+                            const std::string& attr,
+                            const std::string& expr_text) {
+  TSE_RETURN_IF_ERROR(RequireSession());
+  TSE_ASSIGN_OR_RETURN(objmodel::MethodExpr::Ptr expr,
+                       objmodel::ParseExpr(expr_text));
+  objmodel::Value value;
+  {
+    std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+    TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
+    std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
+    TSE_ASSIGN_OR_RETURN(
+        value,
+        expr->Evaluate(oid, db_->engine_->accessor().ResolverFor(oid, cls)));
+  }
+  return Set(oid, class_name, attr, std::move(value));
+}
+
 Status Session::Add(Oid oid, const std::string& class_name) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
+  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
   {
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
     TSE_COUNT("db.session.updates");
@@ -229,7 +329,7 @@ Status Session::Add(Oid oid, const std::string& class_name) {
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
-    if (txn_ && txn_->active()) {
+    if (in_transaction()) {
       TSE_RETURN_IF_ERROR(txn_->Add(oid, cls));
       txn_touched_.push_back(oid);
       return Status::OK();
@@ -241,7 +341,9 @@ Status Session::Add(Oid oid, const std::string& class_name) {
 }
 
 Status Session::Remove(Oid oid, const std::string& class_name) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
+  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
   {
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
     TSE_COUNT("db.session.updates");
@@ -251,7 +353,7 @@ Status Session::Remove(Oid oid, const std::string& class_name) {
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
-    if (txn_ && txn_->active()) {
+    if (in_transaction()) {
       TSE_RETURN_IF_ERROR(txn_->Remove(oid, cls));
       txn_touched_.push_back(oid);
       return Status::OK();
@@ -263,7 +365,9 @@ Status Session::Remove(Oid oid, const std::string& class_name) {
 }
 
 Status Session::Delete(Oid oid) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
+  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
   {
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
     TSE_COUNT("db.session.updates");
@@ -274,7 +378,7 @@ Status Session::Delete(Oid oid) {
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
-    if (txn_ && txn_->active()) {
+    if (in_transaction()) {
       TSE_RETURN_IF_ERROR(txn_->Delete(oid));
       txn_touched_.push_back(oid);
       return Status::OK();
@@ -288,6 +392,7 @@ Status Session::Delete(Oid oid) {
 // --- Transactions -----------------------------------------------------------
 
 Status Session::Begin() {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (in_transaction()) {
     return Status::FailedPrecondition("session already has an open transaction");
   }
@@ -298,6 +403,7 @@ Status Session::Begin() {
 }
 
 Status Session::Commit() {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (!in_transaction()) {
     return Status::FailedPrecondition("no open transaction");
   }
@@ -333,6 +439,7 @@ Status Session::Commit() {
 }
 
 Status Session::Rollback() {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (!in_transaction()) {
     return Status::FailedPrecondition("no open transaction");
   }
@@ -357,6 +464,7 @@ Status Session::Rollback() {
 // --- Schema evolution --------------------------------------------------------
 
 Result<ViewId> Session::Apply(const evolution::SchemaChange& change) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (in_transaction()) {
     return Status::FailedPrecondition(
         "cannot change the schema inside an open transaction");
@@ -419,6 +527,7 @@ Result<ViewId> Session::ApplyOnline(const evolution::SchemaChange& change) {
 
 Result<PreparedSchemaChange> Session::Prepare(
     const evolution::SchemaChange& change) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (in_transaction()) {
     return Status::FailedPrecondition(
         "cannot change the schema inside an open transaction");
@@ -439,6 +548,7 @@ Result<PreparedSchemaChange> Session::Prepare(const std::string& change_text) {
 }
 
 Result<ViewId> Session::CommitPrepared(const PreparedSchemaChange& prepared) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   if (prepared.schema == nullptr) {
     return Status::InvalidArgument("prepared change has no schema");
   }
@@ -489,6 +599,7 @@ Result<ViewId> Session::Apply(const std::string& change_text) {
 
 Result<ViewId> Session::ApplyScript(
     const std::vector<evolution::SchemaChange>& script) {
+  TSE_RETURN_IF_ERROR(RequireSession());
   ViewId last = view_->id();
   for (const evolution::SchemaChange& change : script) {
     TSE_ASSIGN_OR_RETURN(last, Apply(change));
@@ -496,14 +607,67 @@ Result<ViewId> Session::ApplyScript(
   return last;
 }
 
-Status Session::Refresh() {
-  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* current,
-                       db_->CurrentPublished(view_->logical_name()));
-  view_ = current;
-  bound_epoch_ = db_->epoch();
-  TSE_COUNT("db.session.refreshes");
+// --- Global DDL, observability and diagnostics ------------------------------
+
+Result<ClassId> Session::AddBaseClass(
+    const std::string& name, const std::vector<ClassId>& supers,
+    const std::vector<schema::PropertySpec>& props) {
+  return db_->AddBaseClass(name, supers, props);
+}
+
+Result<ViewId> Session::CreateView(
+    const std::string& logical_name,
+    const std::vector<view::ViewClassSpec>& classes) {
+  return db_->CreateView(logical_name, classes);
+}
+
+Result<std::string> Session::Stats(bool as_json) {
+  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Instance().Snapshot();
+  return as_json ? snapshot.ToJson() : snapshot.ToText();
+}
+
+Status Session::ResetStats() {
+  obs::MetricsRegistry::Instance().ResetValues();
   return Status::OK();
+}
+
+Result<std::string> Session::History() {
+  std::ostringstream out;
+  for (const std::string& name : db_->views().ViewNames()) {
+    out << name << ": " << db_->views().History(name).size()
+        << " version(s)\n";
+  }
+  return out.str();
+}
+
+Result<std::string> Session::Explain(const std::string& class_name) {
+  TSE_ASSIGN_OR_RETURN(ClassId cls, Resolve(class_name));
+  TSE_ASSIGN_OR_RETURN(algebra::SelectPlan plan,
+                       db_->extents().ExplainSelect(cls));
+  std::ostringstream out;
+  out << class_name << ": arm=" << algebra::PlanArmName(plan.arm)
+      << ", est_selectivity=" << plan.est_selectivity
+      << ", source_size=" << plan.source_size << "\n  " << plan.reason
+      << "\n  epoch: visible=" << db_->visible_epoch() << "\n";
+  return out.str();
+}
+
+Result<std::string> Session::Layout(const std::string& action,
+                                    const std::string& class_name) {
+  if (action == "pin") {
+    TSE_RETURN_IF_ERROR(db_->PinLayout(class_name).status());
+  } else if (action == "unpin") {
+    TSE_RETURN_IF_ERROR(db_->UnpinLayout(class_name));
+  }
+  TSE_ASSIGN_OR_RETURN(auto stats, db_->ExplainLayout(class_name));
+  std::ostringstream out;
+  out << class_name << ": state=" << stats.state
+      << (stats.scan_complete ? " (scan-complete)" : "")
+      << ", rows=" << stats.rows << ", columns=" << stats.columns
+      << ", hits=" << stats.hits << "\n  window: point_reads="
+      << stats.window_point_reads << ", scans=" << stats.window_scans
+      << "\n";
+  return out.str();
 }
 
 }  // namespace tse

@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "algebra/extent_eval.h"
 #include "common/ids.h"
 #include "common/result.h"
+#include "db/backend.h"
 #include "evolution/schema_change.h"
 #include "objmodel/value.h"
 #include "update/transaction.h"
@@ -17,7 +17,6 @@
 namespace tse {
 
 class Db;
-class Snapshot;
 
 /// An assembled-but-unpublished schema change: the first half of the
 /// two-phase schema change used by cluster coordinators
@@ -48,107 +47,95 @@ struct PreparedSchemaChange {
 /// session to the new version it requested; Refresh() opts in to the
 /// newest version of the logical view.
 ///
+/// Session is the embedded tse::Backend: `Connect("embedded:…")`
+/// returns one that owns its Db, and Clone() hands out further unbound
+/// sessions sharing that ownership. Db::OpenSession returns one already
+/// bound that borrows the Db (it must not outlive it). Until
+/// OpenSession/OpenSessionAt succeeds a session is unbound: every
+/// method that needs a view returns FailedPrecondition.
+///
 /// Thread safety: a Session is a single-client handle — one thread at
 /// a time per session. Any number of *sessions* may operate on the
 /// shared Db concurrently (see Db's concurrency model).
 ///
 /// Updates run in auto-commit mode (each op durable per
 /// DbOptions::durable_updates) unless bracketed by Begin()/Commit(),
-/// which provides strict-2PL isolation with rollback. Destroying a
-/// session with an open transaction rolls it back.
-class Session {
+/// which provides strict-2PL isolation with rollback. Rebinding or
+/// destroying a session with an open transaction rolls it back.
+class Session final : public Backend {
  public:
-  ~Session();
+  /// An unbound session on `db`, sharing its ownership.
+  explicit Session(std::shared_ptr<Db> db);
+  /// An unbound session borrowing `db`, which must outlive it.
+  explicit Session(Db* db);
+  ~Session() override;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // --- Identity ---------------------------------------------------------
+  // --- Backend ----------------------------------------------------------
+  // Documented on tse::Backend; only embedded specifics are noted here.
 
-  [[nodiscard]] const std::string& view_name() const;
-  [[nodiscard]] ViewId view_id() const;
-  [[nodiscard]] int view_version() const;
+  /// "embedded:" followed by the Db's data_dir (empty when in-memory).
+  std::string Where() const override;
+  std::string view_name() const override;
+  ViewId view_id() const override;
+  int view_version() const override;
+  [[nodiscard]] bool bound() const { return view_ != nullptr; }
   /// The Db epoch when this session last (re)bound its view.
   [[nodiscard]] uint64_t bound_epoch() const { return bound_epoch_; }
 
-  // --- Snapshot reads (preferred read path; DESIGN.md §13) --------------
+  /// Another unbound session on the same Db (same ownership).
+  Result<std::unique_ptr<Backend>> Clone() override;
+  /// NotFound for an unknown view; on failure the previous binding (and
+  /// its transaction) is kept.
+  Status OpenSession(const std::string& view_name) override;
+  Status OpenSessionAt(ViewId view_id) override;
+  Status Refresh() override;
 
-  /// Opens a tse::Snapshot of this session's bound view version at the
-  /// newest committed data epoch: a consistent, repeatable, read-only
-  /// handle whose Get/GetAttr/Extent/Select take no object locks and
-  /// never block on writers. Inside an open transaction the snapshot
-  /// sees only *committed* state — this session's own pending writes
-  /// are invisible to it (use the locked Get for read-your-writes).
-  [[nodiscard]] Result<std::unique_ptr<Snapshot>> GetSnapshot() const;
+  /// A tse::Snapshot of the bound view version at the newest committed
+  /// data epoch (DESIGN.md §13). Inside an open transaction it sees only
+  /// *committed* state — use the locked Get for read-your-writes.
+  [[nodiscard]] Result<std::unique_ptr<SnapshotHandle>> GetSnapshot() override;
 
-  // --- Reads ------------------------------------------------------------
-
-  /// Resolves a display name in the bound view to its global class.
-  [[nodiscard]] Result<ClassId> Resolve(const std::string& display_name) const;
-
-  /// Reads `path` (dotted reference navigation allowed) of `oid` in the
-  /// context of view class `class_name`. Inside a transaction the read
-  /// takes a shared object lock.
-  ///
-  /// DEPRECATED as the default read path: this implicit "read whatever
-  /// is live right now" call blocks on writers' 2PL locks inside a
-  /// transaction and gives no repeatability across calls. Prefer
-  /// `GetSnapshot()->Get(...)` for read-mostly workloads; Get remains
-  /// for transactional read-your-writes (see docs/API.md §Snapshot
-  /// reads for the migration table).
-  [[nodiscard]] Result<objmodel::Value> Get(Oid oid,
-                                            const std::string& class_name,
-                                            const std::string& path) const;
-
-  /// Reads one direct attribute. Same normalized signature as
-  /// Snapshot::GetAttr and Client::GetAttr (the tse::ReadSurface
-  /// contract): (oid, class, attr), value-returning, [[nodiscard]].
-  [[nodiscard]] Result<objmodel::Value> GetAttr(Oid oid,
-                                                const std::string& class_name,
-                                                const std::string& attr) const;
-
-  /// The extent of view class `class_name` as a shared immutable
-  /// snapshot (stable even as other sessions keep writing).
-  ///
-  /// DEPRECATED as the default read path: reflects live (including
-  /// other sessions' just-committed) state on every call. Prefer
-  /// `GetSnapshot()->Extent(...)` when iterating with value reads — one
-  /// epoch for the whole scan (see docs/API.md §Snapshot reads).
-  [[nodiscard]] Result<algebra::ExtentEvaluator::ExtentPtr> Extent(
-      const std::string& class_name) const;
-
-  /// Members of `class_name` satisfying `predicate_text` ("age >= 30"),
-  /// evaluated against live state — the live counterpart of
-  /// Snapshot::Select, with the same signature and return convention.
+  [[nodiscard]] Result<ClassId> Resolve(
+      const std::string& display_name) override;
+  /// Reads live state; inside a transaction it takes a shared object
+  /// lock. Prefer `GetSnapshot()->Get(...)` outside transactions: it
+  /// never blocks on writers and repeats (docs/API.md §Snapshot reads).
+  [[nodiscard]] Result<objmodel::Value> Get(
+      Oid oid, const std::string& class_name,
+      const std::string& path) override;
+  /// Live state, in oid order. Prefer `GetSnapshot()->Extent(...)` when
+  /// iterating with value reads — one epoch for the whole scan.
+  [[nodiscard]] Result<std::vector<Oid>> Extent(
+      const std::string& class_name) override;
   [[nodiscard]] Result<std::vector<Oid>> Select(
-      const std::string& class_name, const std::string& predicate_text) const;
+      const std::string& class_name,
+      const std::string& predicate_text) override;
+  [[nodiscard]] Result<std::string> ViewToString() override;
+  [[nodiscard]] Result<std::vector<std::string>> ListClasses() override;
 
-  /// Pretty-prints the bound view schema.
-  [[nodiscard]] std::string ViewToString() const;
-
-  // --- Updates (Section 3.3 generic operators, view-name addressed) -----
-
-  Result<Oid> Create(const std::string& class_name,
-                     const std::vector<update::Assignment>& assignments);
+  Result<Oid> Create(
+      const std::string& class_name,
+      const std::vector<update::Assignment>& assignments) override;
   Status Set(Oid oid, const std::string& class_name, const std::string& name,
-             objmodel::Value value);
-  Status Add(Oid oid, const std::string& class_name);
-  Status Remove(Oid oid, const std::string& class_name);
-  Status Delete(Oid oid);
+             objmodel::Value value) override;
+  /// Evaluates the full expression language against the target object.
+  Status SetFromText(Oid oid, const std::string& class_name,
+                     const std::string& attr,
+                     const std::string& expr_text) override;
+  Status Add(Oid oid, const std::string& class_name) override;
+  Status Remove(Oid oid, const std::string& class_name) override;
+  Status Delete(Oid oid) override;
 
-  // --- Transactions -----------------------------------------------------
-
-  /// Starts a strict-2PL transaction. FailedPrecondition when one is
-  /// already open.
-  Status Begin();
+  /// Strict 2PL; FailedPrecondition when a transaction is already open.
+  Status Begin() override;
   /// Commits and (when durable) group-commits the touched objects.
-  Status Commit();
-  /// Rolls back every effect of the open transaction.
-  Status Rollback();
+  Status Commit() override;
+  Status Rollback() override;
   [[nodiscard]] bool in_transaction() const {
     return txn_ != nullptr && txn_->active();
   }
-
-  // --- Schema evolution -------------------------------------------------
 
   /// Applies a schema change to the bound view and rebinds this session
   /// to the new version. On the online path (the default) the change
@@ -162,12 +149,26 @@ class Session {
   /// versions of the same logical view — are untouched. Rejected inside
   /// an open transaction.
   Result<ViewId> Apply(const evolution::SchemaChange& change);
-
   /// Parses `change_text` ("add_attribute x:int to C", …) and applies.
-  Result<ViewId> Apply(const std::string& change_text);
-
+  Result<ViewId> Apply(const std::string& change_text) override;
   /// Applies a script in order; returns the final version.
   Result<ViewId> ApplyScript(const std::vector<evolution::SchemaChange>& script);
+
+  // These need no binding.
+  Result<ClassId> AddBaseClass(
+      const std::string& name, const std::vector<ClassId>& supers,
+      const std::vector<schema::PropertySpec>& props) override;
+  Result<ViewId> CreateView(
+      const std::string& logical_name,
+      const std::vector<view::ViewClassSpec>& classes) override;
+  /// The process-wide metrics registry.
+  Result<std::string> Stats(bool as_json = false) override;
+  Status ResetStats() override;
+  Result<std::string> History() override;
+  Result<std::string> Explain(const std::string& class_name) override;
+  Result<std::string> Layout(const std::string& action,
+                             const std::string& class_name) override;
+  Db* db() override { return db_.get(); }
 
   // --- Two-phase schema change (cluster coordination) -------------------
 
@@ -190,17 +191,25 @@ class Session {
   /// between prepare and flip.
   Status AbortPrepared(const PreparedSchemaChange& prepared);
 
-  /// Rebinds to the current (newest) version of the logical view.
-  Status Refresh();
-
  private:
-  friend class Db;
+  /// FailedPrecondition while unbound.
+  Status RequireSession() const;
 
-  Session(Db* db, const view::ViewSchema* view);
+  /// Replaces the binding, counting the close of the old one (if any)
+  /// and the open of the new one.
+  Status Bind(const view::ViewSchema* view);
+  /// Rolls back any open transaction and counts a close; no-op while
+  /// unbound.
+  void Unbind();
 
   /// Auto-commit tail for a durable mutation: persist `oid` under the
   /// data latch, then group-commit with no latch held.
   Status PersistAndCommit(Oid oid);
+
+  /// Inside a transaction, takes the 2PL lock on `oid` before any latch
+  /// is held, so a lock wait never blocks other sessions' latched work
+  /// (including the holder's Commit). No-op outside a transaction.
+  Status LockForTxn(Oid oid, bool exclusive);
 
   /// The two Apply implementations (see Apply). Both require no open
   /// transaction; ApplyEager is the stop-the-world differential oracle.
@@ -221,9 +230,11 @@ class Session {
   /// latch.
   void TouchForRead(Oid oid) const;
 
-  Db* db_;
-  /// Stable pointer: ViewManager never erases registered versions.
-  const view::ViewSchema* view_;
+  /// Owning (Connect/Clone) or non-owning (Db::OpenSession, the server).
+  std::shared_ptr<Db> db_;
+  /// Null while unbound. Stable pointer: ViewManager never erases
+  /// registered versions.
+  const view::ViewSchema* view_ = nullptr;
   std::unique_ptr<update::Transaction> txn_;
   /// Objects mutated inside the open transaction (persisted on commit).
   std::vector<Oid> txn_touched_;

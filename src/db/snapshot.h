@@ -2,12 +2,12 @@
 #define TSE_DB_SNAPSHOT_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/result.h"
+#include "db/backend.h"
 #include "objmodel/value.h"
 #include "view/view_schema.h"
 
@@ -16,9 +16,10 @@ namespace tse {
 class Db;
 
 /// A consistent, repeatable, read-only view of the database: one
-/// (view-version, data-epoch) pair (DESIGN.md §13).
+/// (view-version, data-epoch) pair (DESIGN.md §13), and the embedded
+/// tse::SnapshotHandle.
 ///
-/// Every read method is `const` and takes **no object locks** — reads
+/// Every read is lock-free: it takes **no object locks** — reads
 /// resolve against the store's MVCC version chains at the snapshot's
 /// pinned epoch, so they never block on (and are never blocked by)
 /// writers holding strict-2PL locks, and two reads of the same state
@@ -32,48 +33,45 @@ class Db;
 /// stays live — the vacuum never trims versions a snapshot can reach —
 /// until the Snapshot is destroyed, so treat snapshots as short-lived
 /// read handles, not long-term cursors.
-class Snapshot {
+class Snapshot final : public SnapshotHandle {
  public:
-  ~Snapshot();
+  ~Snapshot() override;
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
   // --- Identity ---------------------------------------------------------
 
   /// The commit epoch this snapshot reads at.
-  [[nodiscard]] uint64_t epoch() const { return epoch_; }
-  [[nodiscard]] const std::string& view_name() const;
-  [[nodiscard]] ViewId view_id() const;
-  [[nodiscard]] int view_version() const;
+  uint64_t epoch() const override { return epoch_; }
+  std::string view_name() const override;
+  ViewId view_id() const override;
+  int view_version() const override;
 
-  // --- Reads (const, lock-free, repeatable) -----------------------------
+  // --- Reads (lock-free, repeatable) ------------------------------------
 
   /// Resolves a display name in the snapshot's view to its global class.
-  [[nodiscard]] Result<ClassId> Resolve(const std::string& display_name) const;
+  [[nodiscard]] Result<ClassId> Resolve(const std::string& display_name);
 
   /// Reads `path` (dotted reference navigation allowed; methods are
   /// evaluated with epoch-bound attribute reads) of `oid` in the context
   /// of view class `class_name`, as of the snapshot's epoch.
-  [[nodiscard]] Result<objmodel::Value> Get(Oid oid,
-                                            const std::string& class_name,
-                                            const std::string& path) const;
+  [[nodiscard]] Result<objmodel::Value> Get(
+      Oid oid, const std::string& class_name,
+      const std::string& path) override;
 
-  /// Single-attribute convenience form of Get().
-  [[nodiscard]] Result<objmodel::Value> GetAttr(
-      Oid oid, const std::string& class_name, const std::string& attr) const;
-
-  /// The extent of view class `class_name` as of the snapshot's epoch.
-  /// Returned by value: derived fresh from the version chains, never
+  /// The extent of view class `class_name` as of the snapshot's epoch,
+  /// in oid order. Derived fresh from the version chains, never
   /// aliasing the live extent cache.
-  [[nodiscard]] Result<std::set<Oid>> Extent(
-      const std::string& class_name) const;
+  [[nodiscard]] Result<std::vector<Oid>> Extent(
+      const std::string& class_name) override;
 
   /// Ad-hoc select: members of `class_name` (at the snapshot's epoch)
   /// satisfying `predicate_text` (objmodel::ParseExpr grammar, e.g.
   /// "age >= 30"). Always evaluates per object with epoch-bound reads —
   /// secondary indexes and packed layouts mirror live state only.
   [[nodiscard]] Result<std::vector<Oid>> Select(
-      const std::string& class_name, const std::string& predicate_text) const;
+      const std::string& class_name,
+      const std::string& predicate_text) override;
 
  private:
   friend class Db;

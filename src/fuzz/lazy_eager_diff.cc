@@ -1,5 +1,6 @@
 #include "fuzz/lazy_eager_diff.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -174,16 +175,18 @@ RunReport RunLazyEagerDiff(const FuzzCase& c,
         return false;
       }
       if (!le.ok()) continue;
-      if (le.value()->size() != ee.value()->size()) {
+      if (le.value().size() != ee.value().size()) {
         diverge(step, op,
                 StrCat("extent of ", display, ": lazy has ",
-                       le.value()->size(), " members, eager has ",
-                       ee.value()->size()));
+                       le.value().size(), " members, eager has ",
+                       ee.value().size()));
         return false;
       }
-      for (Oid oid : *le.value()) {
+      for (Oid oid : le.value()) {
         auto twin = oids.ToDirect(oid);
-        if (!twin.ok() || !ee.value()->count(twin.value())) {
+        if (!twin.ok() || !std::binary_search(ee.value().begin(),
+                                              ee.value().end(),
+                                              twin.value())) {
           diverge(step, op,
                   StrCat("extent of ", display, ": lazy member ",
                          oid.ToString(),
@@ -205,7 +208,7 @@ RunReport RunLazyEagerDiff(const FuzzCase& c,
           return false;
         }
         if (!def.value()->is_attribute()) continue;
-        for (Oid oid : *le.value()) {
+        for (Oid oid : le.value()) {
           auto twin = oids.ToDirect(oid);
           if (!twin.ok()) {
             report.error = twin.status();

@@ -40,8 +40,8 @@ int64_t NowMs() {
 
 }  // namespace
 
-Server::Connection::Connection(int fd, size_t max_frame)
-    : fd(fd), reader(max_frame) {}
+Server::Connection::Connection(int fd, size_t max_frame, Db* db)
+    : fd(fd), reader(max_frame), session(std::make_unique<Session>(db)) {}
 
 Server::Connection::~Connection() = default;
 
@@ -118,7 +118,13 @@ void Server::Stop() {
 
   uint64_t ping = 1;
   [[maybe_unused]] ssize_t n = write(wake_fd_, &ping, sizeof(ping));
-  queue_cv_.notify_all();
+  {
+    // Notify under the queue mutex: a worker that tested stopping_ but
+    // has not started waiting yet would otherwise miss the wake-up and
+    // block Stop's join forever.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_cv_.notify_all();
+  }
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   io_thread_.join();
@@ -167,8 +173,8 @@ void Server::IoLoop() {
           if (conn_fd < 0) break;
           int one = 1;
           setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          auto conn = std::make_shared<Connection>(conn_fd,
-                                                   options_.max_frame_bytes);
+          auto conn = std::make_shared<Connection>(
+              conn_fd, options_.max_frame_bytes, db_);
           conn->last_active_ms.store(NowMs(), std::memory_order_relaxed);
           connections_.emplace(conn_fd, conn);
           epoll_event ev = {};
@@ -433,8 +439,8 @@ void Server::WorkerLoop() {
 /// transcription of the public surface. Rows without a response
 /// payload return a bare Status.
 struct Server::Handlers {
-  /// What a handler may touch; `session` is non-null whenever the row
-  /// needs one (Run checks before calling the handler).
+  /// What a handler may touch; `session` is bound whenever the row
+  /// needs it (Run checks before calling the handler).
   struct Ctx {
     Db* db;
     Connection& conn;
@@ -447,7 +453,7 @@ struct Server::Handlers {
   static std::string Run(Ctx& ctx, const std::string& body) {
     auto fields = DecodeBody<typename Row::Request>(body);
     if (!fields.ok()) return EncodeResponse(Row::kOpcode, fields.status());
-    if (Row::kNeedsSession && ctx.session == nullptr) {
+    if (Row::kNeedsSession && !ctx.session->bound()) {
       return EncodeResponse(
           Row::kOpcode,
           Status::FailedPrecondition(
@@ -470,12 +476,12 @@ struct Server::Handlers {
   static SessionInfo InfoOf(const Session& s) {
     return {s.view_name(), s.view_id(), s.view_version()};
   }
-  static Result<SessionInfo> Bind(Ctx& c, Result<std::unique_ptr<Session>> s) {
-    TSE_ASSIGN_OR_RETURN(c.conn.session, std::move(s));
+  static Result<SessionInfo> Bound(Ctx& c, Status bind) {
+    TSE_RETURN_IF_ERROR(bind);
     TSE_COUNT("net.server.sessions_opened");
-    return InfoOf(*c.conn.session);
+    return InfoOf(*c.session);
   }
-  static Result<Snapshot*> FindSnapshot(Ctx& c, uint64_t id) {
+  static Result<SnapshotHandle*> FindSnapshot(Ctx& c, uint64_t id) {
     auto it = c.conn.snapshots.find(id);
     if (it == c.conn.snapshots.end()) {
       return Status::NotFound("no such snapshot id");
@@ -511,10 +517,10 @@ struct Server::Handlers {
   }
   static Status Serve(Ctx&, op::Ping) { return Status::OK(); }
   static Result<SessionInfo> Serve(Ctx& c, op::OpenSession, std::string name) {
-    return Bind(c, c.db->OpenSession(name));
+    return Bound(c, c.session->OpenSession(name));
   }
   static Result<SessionInfo> Serve(Ctx& c, op::OpenSessionAt, ViewId view) {
-    return Bind(c, c.db->OpenSessionAt(view));
+    return Bound(c, c.session->OpenSessionAt(view));
   }
   static Result<SessionInfo> Serve(Ctx& c, op::SessionInfo) {
     return InfoOf(*c.session);
@@ -530,8 +536,7 @@ struct Server::Handlers {
     return c.session->Get(oid, cls, path);
   }
   static Result<std::vector<Oid>> Serve(Ctx& c, op::Extent, std::string cls) {
-    TSE_ASSIGN_OR_RETURN(auto extent, c.session->Extent(cls));
-    return std::vector<Oid>(extent->begin(), extent->end());
+    return c.session->Extent(cls);
   }
   static Result<std::vector<Oid>> Serve(Ctx& c, op::Select, std::string cls,
                                         std::string predicate) {
@@ -541,13 +546,7 @@ struct Server::Handlers {
     return c.session->ViewToString();
   }
   static Result<std::vector<std::string>> Serve(Ctx& c, op::ListClasses) {
-    TSE_ASSIGN_OR_RETURN(const view::ViewSchema* view,
-                         c.db->views().GetView(c.session->view_id()));
-    std::vector<std::string> names;
-    for (ClassId cls : view->classes()) {
-      names.push_back(view->DisplayName(cls).value_or(std::string()));
-    }
-    return names;
+    return c.session->ListClasses();
   }
   static Result<Oid> Serve(Ctx& c, op::Create, std::string cls,
                            std::vector<update::Assignment> values) {
@@ -610,9 +609,8 @@ struct Server::Handlers {
 
   // --- Observability, global DDL, shard identity ----------------------------
 
-  static Result<std::string> Serve(Ctx&, op::Stats, bool as_json) {
-    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Instance().Snapshot();
-    return as_json ? snapshot.ToJson() : snapshot.ToText();
+  static Result<std::string> Serve(Ctx& c, op::Stats, bool as_json) {
+    return c.session->Stats(as_json);
   }
   static Result<ClassId> Serve(Ctx& c, op::AddBaseClass, std::string name,
                                std::vector<ClassId> supers,
@@ -625,11 +623,11 @@ struct Server::Handlers {
             " for attribute " + prop.name);
       }
     }
-    return c.db->AddBaseClass(name, supers, props);
+    return c.session->AddBaseClass(name, supers, props);
   }
   static Result<ViewId> Serve(Ctx& c, op::CreateView, std::string name,
                               std::vector<view::ViewClassSpec> classes) {
-    return c.db->CreateView(name, classes);
+    return c.session->CreateView(name, classes);
   }
   static Result<ShardIdentity> Serve(Ctx& c, op::ShardInfo) {
     return ShardIdentity{c.db->options().shard_id,
@@ -638,23 +636,21 @@ struct Server::Handlers {
 
   // --- Snapshot reads (MVCC; DESIGN.md §13) ---------------------------------
 
-  static Result<std::unique_ptr<Snapshot>> Open(Ctx& c,
-                                                const SnapshotTarget& t) {
-    if (const auto* name = std::get_if<std::string>(&t)) {
-      return c.db->OpenSnapshot(*name);
-    }
-    if (const auto* at = std::get_if<std::tuple<ViewId, uint64_t>>(&t)) {
-      return c.db->OpenSnapshotAt(std::get<0>(*at), std::get<1>(*at));
-    }
-    if (c.conn.session == nullptr) {
-      return Status::FailedPrecondition(
-          "snapshot_open mode 2 needs an open session");
-    }
-    return c.conn.session->GetSnapshot();
-  }
   static Result<SnapshotInfo> Serve(Ctx& c, op::SnapshotOpen,
                                     SnapshotTarget target) {
-    TSE_ASSIGN_OR_RETURN(std::unique_ptr<Snapshot> snap, Open(c, target));
+    std::unique_ptr<SnapshotHandle> snap;
+    if (const auto* name = std::get_if<std::string>(&target)) {
+      TSE_ASSIGN_OR_RETURN(snap, c.db->OpenSnapshot(*name));
+    } else if (const auto* at =
+                   std::get_if<std::tuple<ViewId, uint64_t>>(&target)) {
+      TSE_ASSIGN_OR_RETURN(
+          snap, c.db->OpenSnapshotAt(std::get<0>(*at), std::get<1>(*at)));
+    } else if (!c.session->bound()) {
+      return Status::FailedPrecondition(
+          "snapshot_open mode 2 needs an open session");
+    } else {
+      TSE_ASSIGN_OR_RETURN(snap, c.session->GetSnapshot());
+    }
     const uint64_t id = c.conn.next_snapshot_id++;
     SnapshotInfo info{id, snap->epoch(), snap->view_id(),
                       static_cast<uint32_t>(snap->view_version()),
@@ -664,19 +660,18 @@ struct Server::Handlers {
   }
   static Result<Value> Serve(Ctx& c, op::SnapshotGet, uint64_t id, Oid oid,
                              std::string cls, std::string path) {
-    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
+    TSE_ASSIGN_OR_RETURN(SnapshotHandle* snap, FindSnapshot(c, id));
     return snap->Get(oid, cls, path);
   }
   static Result<std::vector<Oid>> Serve(Ctx& c, op::SnapshotExtent,
                                         uint64_t id, std::string cls) {
-    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
-    TSE_ASSIGN_OR_RETURN(std::set<Oid> extent, snap->Extent(cls));
-    return std::vector<Oid>(extent.begin(), extent.end());
+    TSE_ASSIGN_OR_RETURN(SnapshotHandle* snap, FindSnapshot(c, id));
+    return snap->Extent(cls);
   }
   static Result<std::vector<Oid>> Serve(Ctx& c, op::SnapshotSelect,
                                         uint64_t id, std::string cls,
                                         std::string predicate) {
-    TSE_ASSIGN_OR_RETURN(Snapshot* snap, FindSnapshot(c, id));
+    TSE_ASSIGN_OR_RETURN(SnapshotHandle* snap, FindSnapshot(c, id));
     return snap->Select(cls, predicate);
   }
   static Status Serve(Ctx& c, op::SnapshotClose, uint64_t id) {

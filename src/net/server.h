@@ -19,7 +19,6 @@
 
 namespace tse {
 class Db;
-class Snapshot;
 }  // namespace tse
 
 namespace tse::net {
@@ -104,7 +103,7 @@ class Server {
   struct Connection {
     // Defined in server.cc: the unique_ptr<Session> member needs the
     // complete Session type to destroy.
-    explicit Connection(int fd, size_t max_frame);
+    Connection(int fd, size_t max_frame, Db* db);
     ~Connection();
 
     const int fd;
@@ -120,12 +119,14 @@ class Server {
     std::deque<Frame> pending;
 
     std::mutex write_mu;
+    /// Unbound until open_session; reset (rolling back any open
+    /// transaction) when the connection closes.
     std::unique_ptr<Session> session;
     /// Snapshot handles opened over this connection, keyed by the wire
     /// snapshot id. Owned here so a disconnect (or idle reap) releases
     /// every pinned epoch exactly like it rolls back the session. Only
     /// the worker holding `busy` touches the map.
-    std::unordered_map<uint64_t, std::unique_ptr<Snapshot>> snapshots;
+    std::unordered_map<uint64_t, std::unique_ptr<SnapshotHandle>> snapshots;
     uint64_t next_snapshot_id = 1;
     /// Prepared (phase-one) schema changes awaiting flip or abort,
     /// keyed by the wire token. Dropping the connection discards them —

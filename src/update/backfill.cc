@@ -1,5 +1,7 @@
 #include "update/backfill.h"
 
+#include <algorithm>
+
 #include "algebra/extent_eval.h"
 #include "obs/metrics.h"
 
@@ -89,7 +91,7 @@ size_t BackfillManager::MaterializeObject(Oid oid) {
   return created;
 }
 
-size_t BackfillManager::MaterializeMembers(const std::set<Oid>& oids) {
+size_t BackfillManager::MaterializeMembers(const std::vector<Oid>& oids) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t created = 0;
   for (auto it = tasks_.begin(); it != tasks_.end();) {
@@ -97,7 +99,7 @@ size_t BackfillManager::MaterializeMembers(const std::set<Oid>& oids) {
     // Intersect the smaller set into the larger.
     for (auto pending_it = task.pending.begin();
          pending_it != task.pending.end();) {
-      if (oids.count(*pending_it)) {
+      if (std::binary_search(oids.begin(), oids.end(), *pending_it)) {
         (void)store_->AddSlice(*pending_it, task.definer);
         pending_it = task.pending.erase(pending_it);
         pending_count_.fetch_sub(1, std::memory_order_release);

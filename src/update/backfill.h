@@ -83,10 +83,10 @@ class BackfillManager {
   /// number of slices created. Caller holds the data latch exclusive.
   size_t MaterializeObject(Oid oid);
 
-  /// Materializes all pending members of `oids` (extent-scan first
-  /// touch). Returns the number of slices created. Caller holds the
-  /// data latch exclusive.
-  size_t MaterializeMembers(const std::set<Oid>& oids);
+  /// Materializes all pending members of `oids` (sorted; extent-scan
+  /// first touch). Returns the number of slices created. Caller holds
+  /// the data latch exclusive.
+  size_t MaterializeMembers(const std::vector<Oid>& oids);
 
   /// One bounded background-migration pass: materializes up to `budget`
   /// pending objects, appending each touched oid to `touched` (for

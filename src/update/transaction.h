@@ -45,6 +45,13 @@ class Transaction {
   Status Remove(Oid oid, ClassId cls);
   Status Delete(Oid oid);
 
+  /// Take the strict-2PL object lock without touching the store (no-op
+  /// when already held in a sufficient mode). Lets callers acquire the
+  /// lock before entering their own latches, so a lock wait never holds
+  /// one; the operators below re-acquire it at no cost.
+  Status LockShared(Oid oid);
+  Status LockExclusive(Oid oid);
+
   /// Makes the transaction's effects permanent and releases its locks.
   Status Commit();
 
@@ -91,8 +98,6 @@ class Transaction {
   using UndoRecord =
       std::variant<UndoCreate, UndoSet, UndoMembership, UndoDelete>;
 
-  Status LockShared(Oid oid);
-  Status LockExclusive(Oid oid);
   /// Named ObjectImageAt (not Snapshot) to keep the private pre-image
   /// helper from colliding with the public tse::Snapshot read handle.
   Result<ObjectSnapshot> ObjectImageAt(Oid oid) const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <filesystem>
 
 #include <tse/session.h>
@@ -59,8 +61,8 @@ TEST(DbFacadeTest, CreateReadUpdateThroughSession) {
   ASSERT_TRUE(session->Set(alice, "Student", "gpa", Value::Real(3.9)).ok());
   EXPECT_EQ(session->Get(alice, "Student", "gpa").value(), Value::Real(3.9));
   // The student shows up in both extents (Student is-a Person).
-  EXPECT_EQ(session->Extent("Student").value()->count(alice), 1u);
-  EXPECT_EQ(session->Extent("Person").value()->count(alice), 1u);
+  EXPECT_EQ(std::ranges::count(session->Extent("Student").value(), alice), 1);
+  EXPECT_EQ(std::ranges::count(session->Extent("Person").value(), alice), 1);
 }
 
 TEST(DbFacadeTest, ApplyRebindsOnlyTheRequestingSession) {
@@ -108,13 +110,13 @@ TEST(DbFacadeTest, TransactionCommitAndRollback) {
   Oid alice =
       session->Create("Student", {{"name", Value::Str("alice")}}).value();
   ASSERT_TRUE(session->Commit().ok());
-  EXPECT_EQ(session->Extent("Student").value()->count(alice), 1u);
+  EXPECT_EQ(std::ranges::count(session->Extent("Student").value(), alice), 1);
 
   ASSERT_TRUE(session->Begin().ok());
   Oid ghost =
       session->Create("Student", {{"name", Value::Str("ghost")}}).value();
   ASSERT_TRUE(session->Rollback().ok());
-  EXPECT_EQ(session->Extent("Student").value()->count(ghost), 0u);
+  EXPECT_EQ(std::ranges::count(session->Extent("Student").value(), ghost), 0);
   EXPECT_FALSE(session->in_transaction());
 }
 
@@ -158,7 +160,7 @@ TEST(DbFacadeTest, DurableReopenRestoresEverything) {
     EXPECT_EQ(session->view_version(), 2);
     EXPECT_EQ(session->Get(alice, "Person", "office").value(),
               Value::Str("b42"));
-    EXPECT_EQ(session->Extent("Person").value()->count(alice), 1u);
+    EXPECT_EQ(std::ranges::count(session->Extent("Person").value(), alice), 1);
   }
   std::filesystem::remove_all(dir);
 }

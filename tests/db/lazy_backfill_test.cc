@@ -114,7 +114,7 @@ TEST(LazyBackfillTest, ExtentScanMaterializesAllMembers) {
   ClassId refined = AddAdvisor(session.get());
 
   auto extent = session->Extent("Student").value();
-  EXPECT_EQ(extent->size(), static_cast<size_t>(kStudents));
+  EXPECT_EQ(extent.size(), static_cast<size_t>(kStudents));
   EXPECT_EQ(db->BackfillPending(), 0u);
   for (Oid oid : students) {
     EXPECT_TRUE(db->store().HasSlice(oid, refined));

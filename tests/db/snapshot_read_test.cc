@@ -93,8 +93,8 @@ TEST(SnapshotRead, PinsEpochAndStaysRepeatable) {
   // membership, and select results all predate the writes.
   EXPECT_EQ(snap->Get(subject, "Person", "age").value(), Value::Int(20));
   auto extent = snap->Extent("Person").value();
-  EXPECT_EQ(extent.count(newcomer), 0u);
-  EXPECT_EQ(extent.count(fx.oids[2]), 1u);
+  EXPECT_EQ(std::ranges::count(extent, newcomer), 0);
+  EXPECT_EQ(std::ranges::count(extent, fx.oids[2]), 1);
   auto young = snap->Select("Person", "age <= 25").value();
   EXPECT_NE(std::find(young.begin(), young.end(), subject), young.end());
 
@@ -104,8 +104,8 @@ TEST(SnapshotRead, PinsEpochAndStaysRepeatable) {
   auto fresh = session->GetSnapshot().value();
   EXPECT_GT(fresh->epoch(), pinned);
   EXPECT_EQ(fresh->Get(subject, "Person", "age").value(), Value::Int(99));
-  EXPECT_EQ(fresh->Extent("Person").value().count(newcomer), 1u);
-  EXPECT_EQ(fresh->Extent("Person").value().count(fx.oids[2]), 0u);
+  EXPECT_EQ(std::ranges::count(fresh->Extent("Person").value(), newcomer), 1);
+  EXPECT_EQ(std::ranges::count(fresh->Extent("Person").value(), fx.oids[2]), 0);
 
   // Uncommitted transaction state is invisible to every snapshot.
   ASSERT_TRUE(session->Begin().ok());

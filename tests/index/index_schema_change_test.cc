@@ -117,7 +117,7 @@ TEST(IndexSchemaChangeTest, PinnedSessionStaysVersionCorrect) {
   EXPECT_EQ(pinned->view_version(), 1);
   EXPECT_FALSE(pinned->Get(a, "Emp", "rating").ok());
   EXPECT_EQ(pinned->Get(a, "Emp", "dept").value(), Value::Int(1));
-  EXPECT_EQ(pinned->Extent("Emp").value()->size(), 1u);
+  EXPECT_EQ(pinned->Extent("Emp").value().size(), 1u);
   EXPECT_EQ(evolving->Get(a, "Emp", "rating").value(), Value::Int(9));
   std::vector<Oid> hits;
   ASSERT_TRUE(db->indexes().LookupEq(rating, Value::Int(9), &hits));

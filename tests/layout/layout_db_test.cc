@@ -142,8 +142,8 @@ TEST(LayoutDbTest, PinnedLayoutSurvivesReopen) {
   auto session = db->OpenSession("V").value();
   ClassId emp = session->Resolve("Emp").value();
   auto extent = session->Extent("Emp").value();
-  ASSERT_EQ(extent->size(), 50u);
-  for (Oid oid : *extent) {
+  ASSERT_EQ(extent.size(), 50u);
+  for (Oid oid : extent) {
     EXPECT_TRUE(session->Get(oid, "Emp", "dept").ok());
   }
   (void)emp;
@@ -173,8 +173,8 @@ TEST(LayoutDbTest, SchemaChangeKeepsPackedReadsVersionCorrect) {
   EXPECT_EQ(pinned->Get(a, "Emp", "dept").value(), Value::Int(1));
   EXPECT_EQ(evolving->Get(a, "Emp", "rating").value(), Value::Int(9));
   EXPECT_EQ(evolving->Get(a, "Emp", "dept").value(), Value::Int(1));
-  EXPECT_EQ(pinned->Extent("Emp").value()->size(), 1u);
-  EXPECT_EQ(evolving->Extent("Emp").value()->size(), 1u);
+  EXPECT_EQ(pinned->Extent("Emp").value().size(), 1u);
+  EXPECT_EQ(evolving->Extent("Emp").value().size(), 1u);
 
   // The original base class keeps its (pinned) packed layout.
   EXPECT_TRUE(db->layout().IsPromoted(emp));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <tse/backend.h>
 #include <tse/client.h>
 #include <tse/cluster.h>
@@ -72,13 +74,16 @@ TEST(PublicApiTest, EmbeddedSurface) {
 
   // Snapshot reads: the preferred read path. Session::GetSnapshot pins
   // (view version, epoch); Db::OpenSnapshot / OpenSnapshotAt address
-  // views explicitly. All read methods are const and repeatable.
-  std::unique_ptr<tse::Snapshot> snap = session->GetSnapshot().value();
+  // views explicitly. All reads are lock-free and repeatable.
+  std::unique_ptr<tse::SnapshotHandle> pinned = session->GetSnapshot().value();
+  EXPECT_EQ(pinned->view_id(), session->view_id());
+  pinned.reset();
+  std::unique_ptr<tse::Snapshot> snap = db->OpenSnapshot("V").value();
   EXPECT_EQ(snap->epoch(), db->visible_epoch());
   EXPECT_EQ(snap->view_name(), "V");
   EXPECT_EQ(snap->Get(bob, "Person", "age").value(), Value::Int(31));
   EXPECT_EQ(snap->GetAttr(bob, "Person", "age").value(), Value::Int(31));
-  EXPECT_EQ(snap->Extent("Person").value().count(bob), 1u);
+  EXPECT_EQ(std::ranges::count(snap->Extent("Person").value(), bob), 1);
   EXPECT_EQ(snap->Select("Person", "age >= 21").value().size(), 1u);
   ASSERT_TRUE(snap->Resolve("Person").ok());
   ASSERT_TRUE(session->Set(bob, "Person", "age", Value::Int(40)).ok());
@@ -176,6 +181,8 @@ TEST(PublicApiTest, BackendSurface) {
   std::unique_ptr<tse::Backend> backend = tse::Connect("embedded:").value();
   EXPECT_EQ(backend->Where(), "embedded:");
   EXPECT_FALSE(tse::Connect("carrier-pigeon:coop").ok());
+  // The embedded Backend is the Session itself, not an adaptor.
+  EXPECT_NE(dynamic_cast<tse::Session*>(backend.get()), nullptr);
 
   ClassId person =
       backend
@@ -220,6 +227,7 @@ TEST(PublicApiTest, BackendSurface) {
 
   // SnapshotHandle: the normalized pinned-read surface.
   std::unique_ptr<tse::SnapshotHandle> snap = backend->GetSnapshot().value();
+  EXPECT_NE(dynamic_cast<tse::Snapshot*>(snap.get()), nullptr);
   EXPECT_EQ(snap->view_name(), "V");
   EXPECT_EQ(snap->view_version(), 2);
   ASSERT_TRUE(backend->Set(bob, "Person", "age", Value::Int(40)).ok());
@@ -241,6 +249,20 @@ TEST(PublicApiTest, BackendSurface) {
 
   ASSERT_TRUE(backend->Delete(bob).ok());
   EXPECT_TRUE(backend->Extent("Person").value().empty());
+
+  // A clone shares ownership of the embedded engine: it stays fully
+  // usable after every other handle on it is gone.
+  std::unique_ptr<tse::Backend> survivor = backend->Clone().value();
+  backend.reset();
+  other.reset();
+  ASSERT_TRUE(survivor->OpenSession("V").ok());
+  Oid ann = survivor->Create("Person", {{"name", Value::Str("ann")}}).value();
+  EXPECT_EQ(survivor->Extent("Person").value(), std::vector<Oid>{ann});
+  ASSERT_TRUE(survivor->Apply("add_attribute city:string to Person").ok());
+  EXPECT_EQ(survivor->GetSnapshot().value()->GetAttr(ann, "Person", "name")
+                .value(),
+            Value::Str("ann"));
+  survivor.reset();
 
   // The same surface over the wire, plus the cluster coordinator: a
   // one-shard fleet is a degenerate but fully exercised cluster.
