@@ -1,8 +1,8 @@
 // Ablation / scaling study (DESIGN.md design-choice call-outs): the
-// classifier positions each new virtual class by testing intensional
-// subsumption against every classified class — O(n²) tests per
-// insertion, each walking derivation chains. The SchemaGraph memoizes
-// top-level subsumption results between structural changes; this bench
+// classifier positions each new virtual class by searching the
+// classified DAG for the classes that subsume it and the classes it
+// subsumes, each test walking derivation chains. The SchemaGraph
+// memoizes subsumption results across class additions; this bench
 // quantifies (a) how classification cost scales with global-schema size
 // and (b) what one full schema-change (TSEM pipeline) costs as views
 // accumulate — the practical limit of "keep every version forever".
@@ -109,9 +109,8 @@ BENCHMARK(BM_ChangeLatencyVsViewWidth)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SubsumptionQueryCacheEffect(benchmark::State& state) {
-  // Warm vs cold subsumption queries over a grown schema: the memo is
-  // cleared by every structural change, so the first classification
-  // after a change pays the full recursive walk.
+  // Warm subsumption queries over a grown schema: the cost of a memo
+  // hit, against which a cold query pays the full recursive walk.
   auto stack = std::make_unique<GrownStack>(6, 16);
   std::vector<ClassId> classes = stack->graph.AllClasses();
   size_t i = 0, j = classes.size() / 2;

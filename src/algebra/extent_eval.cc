@@ -42,8 +42,14 @@ void ExtentEvaluator::Sync() const {
   }
 
   if (!synced_once_ || synced_generation_ != schema_->generation()) {
+    // Read the generation before rebuilding: DDL may add classes while
+    // the rebuild runs, and stamping the newer generation afterwards
+    // would leave those classes out of deps_ for good (their cached
+    // extents would stop receiving deltas). An older stamp just makes
+    // the next Sync rebuild again.
+    const uint64_t generation = schema_->generation();
     deps_.Rebuild(*schema_);
-    synced_generation_ = schema_->generation();
+    synced_generation_ = generation;
     synced_once_ = true;
     // Per-entry invalidation: an entry survives schema growth unless its
     // class vanished, its class version moved (redefinition or a new

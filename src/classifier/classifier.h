@@ -1,6 +1,8 @@
 #ifndef TSE_CLASSIFIER_CLASSIFIER_H_
 #define TSE_CLASSIFIER_CLASSIFIER_H_
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -20,22 +22,60 @@ struct ClassifyResult {
   std::vector<ClassId> subs;
 };
 
+/// Where a class belongs among the already-classified classes, found
+/// without touching the graph.
+struct Placement {
+  /// The lowest-id structural duplicate, or an invalid id when none.
+  /// When set, the candidate lists are left empty.
+  ClassId duplicate;
+  /// Every classified class that is-a subsumes the class, in id order.
+  std::vector<ClassId> super_candidates;
+  /// Every classified class the class is-a subsumes, in id order.
+  std::vector<ClassId> sub_candidates;
+};
+
+/// A placement search: a pure function of the graph and the class.
+using PlacementSearch =
+    std::function<Placement(const schema::SchemaGraph&, ClassId)>;
+
+/// The default placement search. It walks the classified DAG instead of
+/// testing every classified class, so its cost follows the part of the
+/// DAG around the new class rather than the class count:
+///   - up-set: top-down from the root through direct subs, descending
+///     only into classes that subsume `cls` (the root is always
+///     expanded, so classes hanging off it by the root fallback are
+///     reached). These are the super candidates.
+///   - duplicate: probed only inside the up-set, in id order; a
+///     duplicate subsumes `cls` both ways, so it is always there.
+///   - subs: probed only among the descendants (itself included) of the
+///     first up-set class none of whose direct subs is in the up-set, or
+///     of the root when the up-set is empty; anything below `cls` is
+///     below each of its supers.
+/// Both rely on the DAG being complete (every classified subsumption is
+/// a path) and on is-a subsumption being transitive. The fuzzer's
+/// naive-scan arm checks the result against testing every class.
+Placement SearchPlacement(const schema::SchemaGraph& schema, ClassId cls);
+
 /// The MultiView classification algorithm (Rundensteiner [17]):
 /// positions a virtual class in the one consistent global schema DAG by
 /// intensional subsumption, detects duplicates, and keeps the DAG
 /// transitively reduced around the insertion point.
 class Classifier {
  public:
-  explicit Classifier(schema::SchemaGraph* schema) : schema_(schema) {}
+  /// `search` finds placements; tests and the fuzzer substitute an
+  /// exhaustive scan to check the default DAG search against it.
+  explicit Classifier(schema::SchemaGraph* schema,
+                      PlacementSearch search = SearchPlacement)
+      : schema_(schema), search_(std::move(search)) {}
 
   /// Integrates `cls` (typically a freshly defined virtual class) into
   /// the classified DAG:
-  ///   1. If an already-classified class is a structural duplicate
+  ///   1. The placement search runs. If it finds a structural duplicate
   ///      (equal provable extent and identical property bindings), `cls`
   ///      is removed and the existing class returned.
-  ///   2. Otherwise direct supers = minimal classes subsuming `cls`,
-  ///      direct subs = maximal classes subsumed by `cls`; edges are
-  ///      wired and edges that became transitive are removed.
+  ///   2. Otherwise direct supers = minimal super candidates, direct
+  ///      subs = maximal sub candidates; edges are wired and edges that
+  ///      became transitive are removed.
   Result<ClassifyResult> Classify(ClassId cls);
 
   /// Classifies a batch in order, returning the representative ids.
@@ -43,11 +83,8 @@ class Classifier {
       const std::vector<ClassId>& classes);
 
  private:
-  /// True when `cls` participates in the classified DAG (has edges) or
-  /// is a base class (base classes are born classified).
-  bool IsClassified(ClassId cls) const;
-
   schema::SchemaGraph* schema_;
+  PlacementSearch search_;
 };
 
 }  // namespace tse::classifier

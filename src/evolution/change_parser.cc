@@ -120,6 +120,7 @@ Status NoTrailing(Cursor* cur) {
 
 Result<SchemaChange> ParseChange(const std::string& command) {
   TSE_TRACE_SPAN("evolution.parse");
+  TSE_LATENCY_US("evolution.parse.us");
   TSE_COUNT("evolution.parse.requests");
   Cursor cur(command);
   TSE_ASSIGN_OR_RETURN(std::string op, cur.Ident());

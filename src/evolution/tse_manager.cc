@@ -86,8 +86,7 @@ Result<ClassId> TseManager::DefineAndClassify(const std::string& name,
   TSE_COUNT("evolution.virtual_classes.defined");
   TSE_ASSIGN_OR_RETURN(ClassId cls,
                        schema_->AddVirtualClass(name, std::move(derivation)));
-  TSE_ASSIGN_OR_RETURN(classifier::ClassifyResult r, classifier_.Classify(cls));
-  return r.cls;
+  return Classify(cls);
 }
 
 Result<ClassId> TseManager::DefineRefineAndClassify(
@@ -97,8 +96,19 @@ Result<ClassId> TseManager::DefineRefineAndClassify(
   TSE_COUNT("evolution.virtual_classes.defined");
   TSE_ASSIGN_OR_RETURN(
       ClassId cls, schema_->AddRefineClass(name, source, new_props, imported));
+  return Classify(cls);
+}
+
+Result<ClassId> TseManager::Classify(ClassId cls) {
+  TSE_LATENCY_US("evolution.classify.us");
   TSE_ASSIGN_OR_RETURN(classifier::ClassifyResult r, classifier_.Classify(cls));
   return r.cls;
+}
+
+Result<ViewId> TseManager::Regenerate(
+    const std::string& logical_name, const std::vector<ViewClassSpec>& specs) {
+  TSE_LATENCY_US("evolution.regenerate.us");
+  return views_->CreateVersionClosed(logical_name, specs);
 }
 
 // --- Public API -----------------------------------------------------------
@@ -147,7 +157,7 @@ Result<ViewId> TseManager::ApplyChangeImpl(ViewId view_id,
       specs.push_back(
           ViewClassSpec{cls, cls == target ? rename->new_name : display});
     }
-    return views_->CreateVersionClosed(vs->logical_name(), specs);
+    return Regenerate(vs->logical_name(), specs);
   }
 
   TSE_ASSIGN_OR_RETURN(Translation translation, Translate(*vs, change));
@@ -157,6 +167,7 @@ Result<ViewId> TseManager::ApplyChangeImpl(ViewId view_id,
 Result<TseManager::Translation> TseManager::Translate(
     const ViewSchema& vs, const SchemaChange& change) {
   TSE_TRACE_SPAN("evolution.translate");
+  TSE_LATENCY_US("evolution.translate.us");
   if (const auto* add_attr = std::get_if<AddAttribute>(&change)) {
     if (add_attr->spec.kind != PropertyKind::kStoredAttribute) {
       return Status::InvalidArgument("add_attribute expects an attribute");
@@ -217,7 +228,7 @@ Result<ViewId> TseManager::EmitView(const ViewSchema& vs,
   for (const auto& [cls, name] : translation.additions) {
     specs.push_back(ViewClassSpec{cls, name});
   }
-  return views_->CreateVersionClosed(vs.logical_name(), specs);
+  return Regenerate(vs.logical_name(), specs);
 }
 
 // --- add_attribute / add_method (Sections 6.1, 6.3) --------------------------

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classifier/classifier.h"
@@ -29,12 +30,16 @@ namespace tse::evolution {
 /// version under the same logical view name.
 class TseManager {
  public:
+  /// `search` is the classifier's placement search; the fuzzer passes
+  /// an exhaustive scan to check the default DAG search against it.
   TseManager(schema::SchemaGraph* schema, objmodel::SlicingStore* store,
-             view::ViewManager* views)
+             view::ViewManager* views,
+             classifier::PlacementSearch search =
+                 classifier::SearchPlacement)
       : schema_(schema),
         store_(store),
         views_(views),
-        classifier_(schema) {}
+        classifier_(schema, std::move(search)) {}
 
   TseManager(const TseManager&) = delete;
   TseManager& operator=(const TseManager&) = delete;
@@ -110,6 +115,13 @@ class TseManager {
       const std::string& name, ClassId source,
       const std::vector<schema::PropertySpec>& new_props,
       const std::vector<PropertyDefId>& imported);
+  /// Classifies a freshly defined class and returns its representative.
+  Result<ClassId> Classify(ClassId cls);
+
+  /// Registers the next version of a view after a schema change (the
+  /// View Manager step of the pipeline).
+  Result<ViewId> Regenerate(const std::string& logical_name,
+                            const std::vector<view::ViewClassSpec>& specs);
 
   /// Globally-unique primed name derived from a view display name.
   std::string PrimedName(const std::string& base) const;

@@ -13,6 +13,7 @@
 #include "common/str_util.h"
 #include "evolution/tse_manager.h"
 #include "fuzz/intersection_replica.h"
+#include "fuzz/naive_placement.h"
 #include "layout/packed_record_cache.h"
 #include "update/update_engine.h"
 #include "view/view_manager.h"
@@ -43,6 +44,19 @@ using update::Assignment;
 /// share random state with each other or with case generation.
 constexpr uint64_t kChurnStream = 0xc2b2ae3d27d4eb4fULL;
 constexpr uint64_t kMergeStream = 0x9e3779b97f4a7c15ULL;
+
+/// The first line at which two multi-line renderings differ.
+std::string FirstLineDiff(const std::string& a, const std::string& b) {
+  std::vector<std::string> la = Split(a, '\n');
+  std::vector<std::string> lb = Split(b, '\n');
+  size_t i = 0;
+  while (i < la.size() && i < lb.size() && la[i] == lb[i]) ++i;
+  auto line = [](const std::vector<std::string>& lines, size_t at) {
+    return at < lines.size() ? lines[at] : std::string("<end>");
+  };
+  return StrCat("line ", i + 1, ": '", line(la, i), "' vs '", line(lb, i),
+                "'");
+}
 
 }  // namespace
 
@@ -109,6 +123,17 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
   DirectEngine direct;
   OidBijection oids;
 
+  // Classifier-vs-naive arm: a schema-only twin whose classifier tests
+  // every classified class. It replays the base schema, the index probe
+  // classes and every change, so its class ids coincide with the main
+  // stack's and the two DAGs must render identically.
+  const bool naive_arm = options_.check_classifier_vs_naive;
+  schema::SchemaGraph naive_graph;
+  objmodel::SlicingStore naive_store;
+  view::ViewManager naive_views(&naive_graph);
+  TseManager naive_manager(&naive_graph, &naive_store, &naive_views,
+                           NaivePlacement);
+
   // Snapshot-vs-locked arm: every store mutation below runs inside an
   // MVCC commit epoch, stamped exactly like Db commits stamp them, so
   // the version chains the snapshot path reads are the real thing.
@@ -136,6 +161,15 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
     if (!added.ok()) {
       report.error = added.status();
       return report;
+    }
+    if (naive_arm) {
+      auto twin = naive_graph.AddBaseClass(def.name, supers, def.props);
+      if (!twin.ok() || twin.value() != added.value()) {
+        report.error = Status::Internal(
+            StrCat("naive-classifier twin could not mirror base class ",
+                   def.name));
+        return report;
+      }
     }
     Status st = direct.AddClass(def.name, super_names, def.props);
     if (!st.ok()) {
@@ -200,6 +234,15 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
     return report;
   }
   ViewId view_id = created.value();
+  ViewId naive_view_id;
+  if (naive_arm) {
+    auto twin = naive_manager.CreateView("VS", specs);
+    if (!twin.ok()) {
+      report.error = twin.status();
+      return report;
+    }
+    naive_view_id = twin.value();
+  }
   std::vector<ViewId> history = {view_id};
 
   // --- Oracle checks -----------------------------------------------------
@@ -219,6 +262,12 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
   indexed_eval.set_index_manager(&indexes);
   indexed_eval.set_planner_mode(algebra::PlannerMode::kForceIndex);
   std::vector<ClassId> probe_classes;
+  auto define_probe = [&](const std::string& name,
+                          schema::Derivation derivation) {
+    if (naive_arm) (void)naive_graph.AddVirtualClass(name, derivation);
+    auto cls = graph.AddVirtualClass(name, std::move(derivation));
+    if (cls.ok()) probe_classes.push_back(cls.value());
+  };
   if (options_.check_index_vs_scan) {
     size_t declared = 0;
     for (const std::string& name : class_names) {
@@ -244,18 +293,14 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
         eq_sel.predicate = MethodExpr::Eq(
             MethodExpr::Attr(def.value()->name),
             MethodExpr::Lit(Value::Int(1)));
-        auto eq_cls = graph.AddVirtualClass(
-            StrCat("IxEq_", prop.value()), std::move(eq_sel));
-        if (eq_cls.ok()) probe_classes.push_back(eq_cls.value());
+        define_probe(StrCat("IxEq_", prop.value()), std::move(eq_sel));
         schema::Derivation rg_sel;
         rg_sel.op = schema::DerivationOp::kSelect;
         rg_sel.sources = {def.value()->definer};
         rg_sel.predicate = MethodExpr::Lt(
             MethodExpr::Attr(def.value()->name),
             MethodExpr::Lit(Value::Int(50)));
-        auto rg_cls = graph.AddVirtualClass(
-            StrCat("IxRg_", prop.value()), std::move(rg_sel));
-        if (rg_cls.ok()) probe_classes.push_back(rg_cls.value());
+        define_probe(StrCat("IxRg_", prop.value()), std::move(rg_sel));
       }
     }
   }
@@ -549,6 +594,28 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
     begin_epoch();
     auto result = manager.ApplyChange(view_id, change);
     end_epoch();
+    if (naive_arm) {
+      // The DAG search must place every class exactly where testing
+      // every classified class places it.
+      auto naive_result = naive_manager.ApplyChange(naive_view_id, change);
+      if (naive_result.ok() != result.ok()) {
+        diverge(step, op,
+                StrCat("the naive-classifier twin ",
+                       naive_result.ok() ? "accepted" : "rejected",
+                       " a change the DAG-search classifier ",
+                       result.ok() ? "accepted" : "rejected"));
+        return report;
+      }
+      if (naive_result.ok()) naive_view_id = naive_result.value();
+      const std::string dot = graph.ToDot();
+      const std::string naive_dot = naive_graph.ToDot();
+      if (dot != naive_dot) {
+        diverge(step, op,
+                StrCat("classified DAG differs from the naive scan's at ",
+                       FirstLineDiff(dot, naive_dot)));
+        return report;
+      }
+    }
     if (!result.ok()) {
       // TSE refused (duplicate name, inherited attribute, cycle, ...);
       // the current version must be byte-for-byte untouched.

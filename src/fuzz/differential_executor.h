@@ -59,6 +59,12 @@ struct ExecutorOptions {
   /// proving version chains keep old epochs repeatable and the vacuum
   /// never trims a reachable version.
   bool check_snapshot_vs_locked = true;
+  /// Replay every schema change on a second, schema-only TSE stack
+  /// whose classifier uses the exhaustive placement scan
+  /// (naive_placement.h) instead of the DAG search, and require the same
+  /// accept/reject outcome and a byte-identical SchemaGraph::ToDot()
+  /// after every operator.
+  bool check_classifier_vs_naive = true;
   /// Test-only divergence plant used to validate the shrinker: accepted
   /// add_attribute changes are mirrored into the oracle under the wrong
   /// name (suffix "_sab"), so the very next equivalence check diverges.
@@ -106,6 +112,7 @@ struct RunReport {
 ///   - the attribute-value surface read through the view,
 ///   - the intersection-store replica (a third architecture),
 ///   - Theorem 1 updatability of every view class,
+///   - the classified DAG equals the one the naive classifier builds,
 ///   - rejected operators must leave the view untouched,
 ///   - every historical view version must still evaluate at the end.
 ///

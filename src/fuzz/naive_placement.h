@@ -1,0 +1,19 @@
+#ifndef TSE_FUZZ_NAIVE_PLACEMENT_H_
+#define TSE_FUZZ_NAIVE_PLACEMENT_H_
+
+#include "classifier/classifier.h"
+#include "schema/schema_graph.h"
+
+namespace tse::fuzz {
+
+/// The exhaustive placement search the DAG search replaced, kept as a
+/// differential oracle: it tests `cls` against every classified class
+/// (base classes and classes with is-a edges) in id order — once for a
+/// duplicate, then as a super and as a sub candidate. A Classifier built
+/// on it must wire exactly the DAG the default search wires.
+classifier::Placement NaivePlacement(const schema::SchemaGraph& schema,
+                                     ClassId cls);
+
+}  // namespace tse::fuzz
+
+#endif  // TSE_FUZZ_NAIVE_PLACEMENT_H_

@@ -165,6 +165,7 @@ Result<ClassId> SchemaGraph::AddVirtualClassUnlocked(const std::string& name,
   for (ClassId src : node.derivation.sources) {
     derived_index_[src.value()].push_back(id);
   }
+  classes_by_op_[node.derivation.op].insert(id.value());
   classes_.emplace(id.value(), std::move(node));
   // Monotone addition: existing memo entries stay valid (see
   // AddBaseClass); dependents rebuild their dependency graphs off the
@@ -296,6 +297,7 @@ Status SchemaGraph::RemoveClassUnlocked(ClassId cls) {
     }
   }
   by_name_.erase(node->name);
+  classes_by_op_[node->derivation.op].erase(cls.value());
   classes_.erase(cls.value());
   // Surgical invalidation: only an unreferenced virtual class can be
   // removed, and a removed class was at most a proof *witness* for
@@ -470,16 +472,22 @@ Result<TypeSet> SchemaGraph::EffectiveType(ClassId cls) const {
 }
 
 Result<TypeSet> SchemaGraph::EffectiveTypeLocked(ClassId cls) const {
+  TSE_ASSIGN_OR_RETURN(const TypeSet* type, TypeRefLocked(cls));
+  return *type;
+}
+
+Result<const TypeSet*> SchemaGraph::TypeRefLocked(ClassId cls) const {
   {
     std::shared_lock<std::shared_mutex> lock(memo_mu_);
     auto hit = type_cache_.find(cls.value());
-    if (hit != type_cache_.end()) return hit->second;
+    if (hit != type_cache_.end()) return &hit->second;
   }
   std::unique_lock<std::shared_mutex> lock(memo_mu_);
   TypeSet out;
   std::set<ClassId> in_progress;
   TSE_RETURN_IF_ERROR(ComputeType(cls, &out, &in_progress));
-  return out;
+  // A successful ComputeType always leaves `cls` in the memo.
+  return &type_cache_.at(cls.value());
 }
 
 Status SchemaGraph::ComputeType(ClassId cls, TypeSet* out,
@@ -602,8 +610,8 @@ Status SchemaGraph::ComputeType(ClassId cls, TypeSet* out,
 Result<const PropertyDef*> SchemaGraph::ResolveProperty(
     ClassId cls, const std::string& name) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  TSE_ASSIGN_OR_RETURN(TypeSet type, EffectiveTypeLocked(cls));
-  TSE_ASSIGN_OR_RETURN(PropertyDefId def, type.Lookup(name));
+  TSE_ASSIGN_OR_RETURN(const TypeSet* type, TypeRefLocked(cls));
+  TSE_ASSIGN_OR_RETURN(PropertyDefId def, type->Lookup(name));
   return GetPropertyUnlocked(def);
 }
 
@@ -731,13 +739,15 @@ bool SchemaGraph::ExtentSubsumedByImpl(ClassId a, ClassId b,
     //   intersect(A1, A2)   ⊆ intersect(B1, B2)   if A1 ⊆ B1 and A2 ⊆ B2
     // A matching class c is then a *hop*: a ⊆ c, so a ⊆ b when c ⊆ b.
     const Derivation& da = node->derivation;
-    if (da.op == DerivationOp::kSelect ||
-        da.op == DerivationOp::kDifference ||
-        da.op == DerivationOp::kIntersect) {
-      for (const auto& [raw, cand] : classes_) {
+    auto same_op = classes_by_op_.find(da.op);
+    if ((da.op == DerivationOp::kSelect ||
+         da.op == DerivationOp::kDifference ||
+         da.op == DerivationOp::kIntersect) &&
+        same_op != classes_by_op_.end()) {
+      for (uint64_t raw : same_op->second) {
         ClassId c(raw);
-        if (c == a || cand.derivation.op != da.op) continue;
-        const Derivation& dc = cand.derivation;
+        if (c == a) continue;
+        const Derivation& dc = classes_.at(raw).derivation;
         bool premise = false;
         switch (da.op) {
           case DerivationOp::kSelect:
@@ -785,22 +795,34 @@ bool SchemaGraph::IsaSubsumedBy(ClassId a, ClassId b) const {
   return IsaSubsumedByLocked(a, b);
 }
 
+// Both predicates below test the cheap type condition first, by
+// reference into the type memo, and only then the extent proof. The
+// order cannot change an answer: both conditions are pure, and the
+// extent memo holds only definitive answers (positives, untainted
+// negatives, and top-level results), so whether a proof runs now, later
+// or never leaves every other query's result unchanged. Skipping the
+// proof when the types already disagree is where the saving comes from.
+
 bool SchemaGraph::IsaSubsumedByLocked(ClassId a, ClassId b) const {
-  if (!ExtentSubsumedByLocked(a, b)) return false;
-  auto ta = EffectiveTypeLocked(a);
-  auto tb = EffectiveTypeLocked(b);
-  if (!ta.ok() || !tb.ok()) return false;
-  return ta.value().CoversNamesOf(tb.value());
+  auto ta = TypeRefLocked(a);
+  auto tb = TypeRefLocked(b);
+  if (!ta.ok() || !tb.ok() || !ta.value()->CoversNamesOf(*tb.value())) {
+    return false;
+  }
+  return ExtentSubsumedByLocked(a, b);
 }
 
 bool SchemaGraph::IsDuplicateOf(ClassId a, ClassId b) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   if (a == b) return false;
-  if (!ExtentEquivalentLocked(a, b)) return false;
-  auto ta = EffectiveTypeLocked(a);
-  auto tb = EffectiveTypeLocked(b);
+  auto ta = TypeRefLocked(a);
+  auto tb = TypeRefLocked(b);
   if (!ta.ok() || !tb.ok()) return false;
-  if (ta.value() == tb.value()) return true;
+  if (*ta.value() != *tb.value() && !RefineTwinsLocked(a, b)) return false;
+  return ExtentEquivalentLocked(a, b);
+}
+
+bool SchemaGraph::RefineTwinsLocked(ClassId a, ClassId b) const {
   // Refine classes over the same source adding *structurally identical*
   // fresh properties are duplicates even though the freshly-allocated
   // definitions differ — the case where two users request the very same
@@ -941,6 +963,7 @@ Status SchemaGraph::RestoreClass(ClassNode node) {
   for (ClassId sup : node.supers) {
     classes_.at(sup.value()).subs.insert(id);
   }
+  if (!node.is_base()) classes_by_op_[node.derivation.op].insert(id.value());
   classes_.emplace(id.value(), std::move(node));
   // Same monotone-addition argument as AddBaseClass/AddVirtualClass.
   generation_.fetch_add(1, std::memory_order_acq_rel);

@@ -178,8 +178,8 @@ class SchemaGraph {
   /// True when the extents are provably equal.
   bool ExtentEquivalent(ClassId a, ClassId b) const;
 
-  /// Is-a subsumption: extent(a) ⊆ extent(b) and type(a) covers
-  /// type(b)'s names. This is the ordering the Classifier materializes.
+  /// Is-a subsumption: type(a) covers type(b)'s names and extent(a) ⊆
+  /// extent(b). This is the ordering the Classifier materializes.
   bool IsaSubsumedBy(ClassId a, ClassId b) const;
 
   /// Structural duplicate check (Section 7): equal extents and equal
@@ -241,11 +241,21 @@ class SchemaGraph {
   // Locked-query internals: require graph_mu_ held (shared or
   // exclusive); acquire memo_mu_ themselves.
   Result<TypeSet> EffectiveTypeLocked(ClassId cls) const;
+  /// The memoized effective type of `cls` by reference, filling the memo
+  /// on a miss. The pointer stays valid while graph_mu_ is held (shared
+  /// suffices): type_cache_ is a node-based map whose entries are never
+  /// overwritten, and are erased only under graph_mu_ exclusive
+  /// (AddRefineClass, AddLocalProperty, RenameProperty, RemoveClass).
+  Result<const TypeSet*> TypeRefLocked(ClassId cls) const;
   bool ExtentSubsumedByLocked(ClassId a, ClassId b) const;
   bool ExtentEquivalentLocked(ClassId a, ClassId b) const {
     return ExtentSubsumedByLocked(a, b) && ExtentSubsumedByLocked(b, a);
   }
   bool IsaSubsumedByLocked(ClassId a, ClassId b) const;
+  /// IsDuplicateOf's structural rule for refine classes whose types
+  /// differ only in freshly allocated, structurally identical
+  /// definitions. Requires graph_mu_ held.
+  bool RefineTwinsLocked(ClassId a, ClassId b) const;
 
   /// One-step provable "extent ⊆" targets of `cls` (select → source,
   /// base → declared supers, plus extent-preserving derived classes).
@@ -278,8 +288,8 @@ class SchemaGraph {
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> invalidate_floor_{0};
   /// Guards every structural member below (classes_, props_, by_name_,
-  /// derived_index_, class_versions_). Readers shared, mutators
-  /// exclusive; acquired *before* memo_mu_ everywhere.
+  /// derived_index_, classes_by_op_, class_versions_). Readers shared,
+  /// mutators exclusive; acquired *before* memo_mu_ everywhere.
   mutable std::shared_mutex graph_mu_;
   /// ClassId.value() -> class_version().
   std::unordered_map<uint64_t, uint64_t> class_versions_;
@@ -293,13 +303,18 @@ class SchemaGraph {
   /// derivation structure changes (class added/removed).
   mutable std::map<std::pair<uint64_t, uint64_t>, bool> extent_cache_;
   /// EffectiveType memo; invalidated on structural changes, local
-  /// property additions, refine-class finalization, and renames.
+  /// property additions, refine-class finalization, and renames (all
+  /// under graph_mu_ exclusive, which keeps TypeRefLocked's pointers
+  /// valid for any holder of graph_mu_).
   mutable std::map<uint64_t, TypeSet> type_cache_;
   std::map<uint64_t, ClassNode> classes_;
   std::map<uint64_t, PropertyDef> props_;
   std::unordered_map<std::string, ClassId> by_name_;
   /// cls -> virtual classes listing it as a derivation source.
   std::unordered_map<uint64_t, std::vector<ClassId>> derived_index_;
+  /// Derivation op -> the virtual classes derived by it, in id order:
+  /// the structural subsumption rules only compare like-derived classes.
+  std::map<DerivationOp, std::set<uint64_t>> classes_by_op_;
 };
 
 }  // namespace tse::schema

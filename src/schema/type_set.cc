@@ -89,8 +89,14 @@ std::vector<std::string> TypeSet::Names() const {
 }
 
 bool TypeSet::CoversNamesOf(const TypeSet& other) const {
+  // Both maps hold distinct names in sorted order: fewer names cannot
+  // cover more, and otherwise one merge pass decides.
+  if (other.props_.size() > props_.size()) return false;
+  auto mine = props_.begin();
   for (const auto& [name, _] : other.props_) {
-    if (!props_.count(name)) return false;
+    while (mine != props_.end() && mine->first < name) ++mine;
+    if (mine == props_.end() || mine->first != name) return false;
+    ++mine;
   }
   return true;
 }

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "common/str_util.h"
 #include "obs/metrics.h"
@@ -38,28 +39,32 @@ Result<ViewId> ViewManager::CreateVersion(
   }
 
   // View schema generation: a -> b direct iff a ⊑ b with no selected
-  // class strictly between.
+  // class strictly between. One subsumption query per ordered pair fills
+  // `sub[i][j]` (= order[i] ⊑ order[j]); the reduction reads the matrix.
+  const std::vector<ClassId> order(selected.begin(), selected.end());
+  const size_t n = order.size();
+  std::vector<std::vector<bool>> sub(n, std::vector<bool>(n, false));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j) sub[i][j] = schema_->IsaSubsumedBy(order[i], order[j]);
+    }
+  }
   std::vector<std::pair<ClassId, ClassId>> edges;
-  for (ClassId a : selected) {
-    for (ClassId b : selected) {
-      if (a == b) continue;
-      if (!schema_->IsaSubsumedBy(a, b)) continue;
-      if (schema_->IsaSubsumedBy(b, a)) {
-        // Extensionally equivalent classes selected together: order by
-        // id for determinism (lower id is treated as the upper class).
-        if (b < a) continue;
-      }
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      if (a == b || !sub[a][b]) continue;
+      // Extensionally equivalent classes selected together: order by id
+      // for determinism (lower id, hence lower index, is the upper class).
+      if (sub[b][a] && b < a) continue;
       bool direct = true;
-      for (ClassId c : selected) {
+      for (size_t c = 0; c < n; ++c) {
         if (c == a || c == b) continue;
-        if (schema_->IsaSubsumedBy(a, c) && schema_->IsaSubsumedBy(c, b) &&
-            !(schema_->IsaSubsumedBy(c, a)) &&
-            !(schema_->IsaSubsumedBy(b, c))) {
+        if (sub[a][c] && sub[c][b] && !sub[c][a] && !sub[b][c]) {
           direct = false;
           break;
         }
       }
-      if (direct) edges.emplace_back(a, b);
+      if (direct) edges.emplace_back(order[a], order[b]);
     }
   }
 

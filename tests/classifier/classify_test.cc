@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "algebra/processor.h"
 #include "algebra/query.h"
+#include "common/random.h"
+#include "common/str_util.h"
+#include "evolution/tse_manager.h"
+#include "fuzz/naive_placement.h"
 #include "objmodel/method.h"
+#include "objmodel/slicing_store.h"
+#include "view/view_manager.h"
 
 namespace tse::classifier {
 namespace {
@@ -307,6 +316,247 @@ TEST_F(ClassifierTest, BatchClassificationMatchesOneByOne) {
     }
     EXPECT_EQ(batch_supers, single_supers) << "class " << name;
   }
+}
+
+// --- DAG placement search vs the naive scan --------------------------------
+
+std::string Names(const SchemaGraph& g, const std::vector<ClassId>& ids) {
+  std::vector<std::string> out;
+  for (ClassId id : ids) out.push_back(g.GetClass(id).value()->name);
+  return Join(out, ",");
+}
+
+/// A placement search that runs both the DAG search and the naive scan
+/// on every classification, records any disagreement, and places by the
+/// DAG search.
+class PlacementAudit {
+ public:
+  PlacementSearch Search() {
+    return [this](const SchemaGraph& g, ClassId cls) {
+      Placement dag = SearchPlacement(g, cls);
+      Placement naive = fuzz::NaivePlacement(g, cls);
+      ++compared_;
+      if (dag.duplicate != naive.duplicate ||
+          dag.super_candidates != naive.super_candidates ||
+          dag.sub_candidates != naive.sub_candidates) {
+        mismatches_.push_back(StrCat(
+            g.GetClass(cls).value()->name, ": supers {",
+            Names(g, dag.super_candidates), "} vs {",
+            Names(g, naive.super_candidates), "}, subs {",
+            Names(g, dag.sub_candidates), "} vs {",
+            Names(g, naive.sub_candidates), "}, duplicate ",
+            dag.duplicate.ToString(), " vs ", naive.duplicate.ToString()));
+      }
+      return dag;
+    };
+  }
+  int compared() const { return compared_; }
+  const std::vector<std::string>& mismatches() const { return mismatches_; }
+
+ private:
+  int compared_ = 0;
+  std::vector<std::string> mismatches_;
+};
+
+/// A TSE stack whose classifier is audited against the naive scan.
+struct AuditedStack {
+  SchemaGraph graph;
+  objmodel::SlicingStore store;
+  view::ViewManager views{&graph};
+  PlacementAudit audit;
+  evolution::TseManager tse{&graph, &store, &views, audit.Search()};
+};
+
+TEST(PlacementSearchTest, SeededHistoryMatchesNaiveScan) {
+  // A 12-class multiple-inheritance base and a 60-change seeded history
+  // of property, edge and class operators, like the evolve_history
+  // benchmark. Changes the engine rejects are part of the history too.
+  struct Base {
+    const char* name;
+    std::vector<int> supers;
+  };
+  const std::vector<Base> base = {
+      {"A0", {}},     {"A1", {}},     {"B0", {0}},    {"B1", {0, 1}},
+      {"B2", {1}},    {"C0", {2}},    {"C1", {2, 3}}, {"C2", {4}},
+      {"C3", {3, 4}}, {"D0", {5, 6}}, {"D1", {7}},    {"D2", {8}},
+  };
+  AuditedStack stack;
+  std::vector<ClassId> ids;
+  std::vector<std::string> names;
+  std::vector<view::ViewClassSpec> specs;
+  for (const Base& b : base) {
+    std::vector<ClassId> supers;
+    for (int s : b.supers) supers.push_back(ids[s]);
+    ids.push_back(stack.graph
+                      .AddBaseClass(b.name, supers,
+                                    {PropertySpec::Attribute(
+                                        StrCat("v_", b.name), ValueType::kInt)})
+                      .value());
+    names.push_back(b.name);
+    specs.push_back({ids.back(), ""});
+  }
+  ViewId vs = stack.tse.CreateView("VS", specs).value();
+
+  Rng rng(14);
+  std::vector<std::pair<std::string, std::string>> added;  // class, prop
+  int accepted = 0;
+  for (int i = 0; i < 60; ++i) {
+    auto pick = [&]() { return names[rng.Uniform(names.size())]; };
+    evolution::SchemaChange change;
+    const uint64_t op = rng.Uniform(100);
+    if (op < 30) {
+      evolution::AddAttribute c{pick(), PropertySpec::Attribute(
+                                            StrCat("p", i), ValueType::kInt)};
+      added.emplace_back(c.class_name, c.spec.name);
+      change = c;
+    } else if (op < 40) {
+      change = evolution::AddMethod{
+          pick(), PropertySpec::Method(StrCat("m", i),
+                                       MethodExpr::Lit(Value::Int(i)),
+                                       ValueType::kInt)};
+    } else if (op < 55 && !added.empty()) {
+      const auto& [cls, prop] = added[rng.Uniform(added.size())];
+      change = evolution::DeleteAttribute{cls, prop};
+    } else if (op < 70) {
+      change = evolution::AddEdge{pick(), pick()};
+    } else if (op < 80) {
+      change = evolution::DeleteEdge{pick(), pick(), std::nullopt};
+    } else if (op < 90) {
+      std::string name = StrCat("N", i);
+      change = evolution::AddClass{name, pick()};
+      names.push_back(name);
+    } else {
+      std::string name = StrCat("I", i);
+      change = evolution::InsertClass{name, pick(), pick()};
+      names.push_back(name);
+    }
+    auto next = stack.tse.ApplyChange(vs, change);
+    if (next.ok()) {
+      vs = next.value();
+      ++accepted;
+    }
+  }
+  EXPECT_GE(accepted, 20);
+  EXPECT_GE(stack.audit.compared(), 60);
+  EXPECT_TRUE(stack.audit.mismatches().empty())
+      << Join(stack.audit.mismatches(), "\n");
+}
+
+TEST_F(ClassifierTest, RootFallbackMatchesNaiveScan) {
+  // A refine importing a definition that was dropped with its (never
+  // classified) definer has no computable type, so nothing provably
+  // subsumes it: it hangs off the root. The next class must still see
+  // it under the root.
+  PlacementAudit audit;
+  Classifier classifier(&graph_, audit.Search());
+  ClassId definer =
+      graph_
+          .AddRefineClass("Definer", student_,
+                          {PropertySpec::Attribute("badge", ValueType::kInt)},
+                          {})
+          .value();
+  PropertyDefId badge =
+      graph_.EffectiveType(definer).value().Lookup("badge").value();
+  ClassId orphan =
+      graph_.AddRefineClass("Orphan", student_, {}, {badge}).value();
+  ASSERT_TRUE(graph_.RemoveClass(definer).ok());
+  ASSERT_FALSE(graph_.EffectiveType(orphan).ok());
+  ClassifyResult r = classifier.Classify(orphan).value();
+  EXPECT_EQ(r.supers, std::vector<ClassId>{graph_.root()});
+  EXPECT_TRUE(r.subs.empty());
+  AlgebraProcessor proc(&graph_);
+  ClassId ageless =
+      proc.DefineVC("Ageless", Query::Hide(Query::Class("Person"), {"age"}))
+          .value();
+  ASSERT_TRUE(classifier.Classify(ageless).ok());
+  EXPECT_EQ(audit.compared(), 2);
+  EXPECT_TRUE(audit.mismatches().empty()) << Join(audit.mismatches(), "\n");
+}
+
+TEST_F(ClassifierTest, RefineTwinsFoundAsDuplicates) {
+  PlacementAudit audit;
+  Classifier classifier(&graph_, audit.Search());
+  auto refine = [&](const std::string& name) {
+    return graph_
+        .AddRefineClass(name, student_,
+                        {PropertySpec::Attribute("register", ValueType::kBool)},
+                        {})
+        .value();
+  };
+  ClassId first = refine("Student'");
+  ASSERT_FALSE(classifier.Classify(first).value().was_duplicate);
+  ClassifyResult r = classifier.Classify(refine("Student''")).value();
+  EXPECT_TRUE(r.was_duplicate);
+  EXPECT_EQ(r.cls, first);
+  EXPECT_TRUE(graph_.FindClass("Student''").status().IsNotFound());
+  EXPECT_TRUE(audit.mismatches().empty()) << Join(audit.mismatches(), "\n");
+}
+
+TEST_F(ClassifierTest, ExtentEquivalentClassesWithDifferentTypes) {
+  // Both hide classes have exactly Person's extent but different types:
+  // they are not duplicates, and neither is-a the other.
+  PlacementAudit audit;
+  Classifier classifier(&graph_, audit.Search());
+  AlgebraProcessor proc(&graph_);
+  ClassId no_age =
+      proc.DefineVC("NoAge", Query::Hide(Query::Class("Person"), {"age"}))
+          .value();
+  ClassId no_name =
+      proc.DefineVC("NoName", Query::Hide(Query::Class("Person"), {"name"}))
+          .value();
+  ASSERT_TRUE(graph_.ExtentEquivalent(no_age, no_name));
+  ASSERT_FALSE(classifier.Classify(no_age).value().was_duplicate);
+  ClassifyResult r = classifier.Classify(no_name).value();
+  EXPECT_FALSE(r.was_duplicate);
+  EXPECT_EQ(r.supers, std::vector<ClassId>{graph_.root()});
+  EXPECT_EQ(r.subs, std::vector<ClassId>{person_});
+  std::vector<ClassId> person_supers = Supers(person_);
+  EXPECT_EQ(person_supers, (std::vector<ClassId>{no_age, no_name}));
+  EXPECT_TRUE(audit.mismatches().empty()) << Join(audit.mismatches(), "\n");
+}
+
+TEST(PlacementSearchTest, EdgeOperatorClassesMatchNaiveScan) {
+  // add_edge defines union classes and delete_edge difference classes
+  // (Sections 6.5, 6.6); both must be placed as the naive scan places
+  // them.
+  AuditedStack stack;
+  ClassId person =
+      stack.graph
+          .AddBaseClass("Person", {},
+                        {PropertySpec::Attribute("name", ValueType::kString)})
+          .value();
+  ClassId staff =
+      stack.graph
+          .AddBaseClass("Staff", {person},
+                        {PropertySpec::Attribute("boss", ValueType::kString)})
+          .value();
+  ClassId student =
+      stack.graph
+          .AddBaseClass("Student", {person},
+                        {PropertySpec::Attribute("major", ValueType::kString)})
+          .value();
+  ClassId ta = stack.graph.AddBaseClass("TA", {student}, {}).value();
+  ViewId vs = stack.tse
+                  .CreateView("VS", {{person, ""},
+                                     {staff, ""},
+                                     {student, ""},
+                                     {ta, ""}})
+                  .value();
+  vs = stack.tse.ApplyChange(vs, evolution::AddEdge{"Staff", "TA"}).value();
+  vs = stack.tse.ApplyChange(vs, evolution::DeleteEdge{"Student", "TA",
+                                                       std::nullopt})
+           .value();
+  bool saw_union = false, saw_difference = false;
+  for (ClassId cls : stack.graph.AllClasses()) {
+    schema::DerivationOp op = stack.graph.GetClass(cls).value()->derivation.op;
+    saw_union |= op == schema::DerivationOp::kUnion;
+    saw_difference |= op == schema::DerivationOp::kDifference;
+  }
+  EXPECT_TRUE(saw_union);
+  EXPECT_TRUE(saw_difference);
+  EXPECT_GT(stack.audit.compared(), 0);
+  EXPECT_TRUE(stack.audit.mismatches().empty())
+      << Join(stack.audit.mismatches(), "\n");
 }
 
 TEST_F(ClassifierTest, BaseClassIsAlreadyClassified) {

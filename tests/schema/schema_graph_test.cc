@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "common/str_util.h"
 #include "objmodel/method.h"
 
 namespace tse::schema {
@@ -378,6 +387,182 @@ TEST_F(UniversitySchemaTest, ToDotRendersAllClasses) {
   std::string dot = graph_.ToDot();
   EXPECT_NE(dot.find("\"TA\" -> \"Student\""), std::string::npos);
   EXPECT_NE(dot.find("\"Person\" [shape=box]"), std::string::npos);
+}
+
+/// Every base and derivation kind over Figure 2's schema, including two
+/// refine twins (the same fresh attribute added twice) and a refine
+/// adding a same-named attribute of another type. Returns the classes
+/// and sets `twins` to the twin pair.
+std::vector<ClassId> BuildZoo(SchemaGraph* g,
+                              std::pair<ClassId, ClassId>* twins) {
+  ClassId person =
+      g->AddBaseClass("Person", {},
+                      {PropertySpec::Attribute("name", ValueType::kString),
+                       PropertySpec::Attribute("ssn", ValueType::kInt)})
+          .value();
+  ClassId student =
+      g->AddBaseClass("Student", {person},
+                      {PropertySpec::Attribute("major", ValueType::kString)})
+          .value();
+  ClassId staff =
+      g->AddBaseClass("Staff", {person},
+                      {PropertySpec::Attribute("salary", ValueType::kInt)})
+          .value();
+  ClassId ta = g->AddBaseClass("TA", {student, staff}, {}).value();
+  std::vector<ClassId> out = {g->root(), person, student, staff, ta};
+  auto define = [&](const std::string& name, DerivationOp op,
+                    std::vector<ClassId> sources,
+                    std::vector<std::string> hidden = {}) {
+    Derivation d;
+    d.op = op;
+    d.sources = std::move(sources);
+    d.hidden = std::move(hidden);
+    if (op == DerivationOp::kSelect) {
+      d.predicate = MethodExpr::Ge(MethodExpr::Attr("ssn"),
+                                   MethodExpr::Lit(Value::Int(5)));
+    }
+    out.push_back(g->AddVirtualClass(name, std::move(d)).value());
+    return out.back();
+  };
+  ClassId picked = define("Picked", DerivationOp::kSelect, {student});
+  define("NoSsn", DerivationOp::kHide, {person}, {"ssn"});
+  define("NoName", DerivationOp::kHide, {person}, {"name"});
+  define("Either", DerivationOp::kUnion, {student, staff});
+  define("NonStudent", DerivationOp::kDifference, {person, student});
+  define("Both", DerivationOp::kIntersect, {student, staff});
+  define("PickedTA", DerivationOp::kIntersect, {picked, ta});
+  auto refine = [&](const std::string& name, ValueType type) {
+    out.push_back(
+        g->AddRefineClass(name, student,
+                          {PropertySpec::Attribute("reg", type)}, {})
+            .value());
+    return out.back();
+  };
+  twins->first = refine("Reg1", ValueType::kBool);
+  twins->second = refine("Reg2", ValueType::kBool);
+  refine("RegInt", ValueType::kInt);
+  return out;
+}
+
+/// IsaSubsumedBy / IsDuplicateOf answers over every ordered pair.
+struct PairAnswers {
+  std::vector<bool> isa, dup;
+  bool operator==(const PairAnswers&) const = default;
+};
+
+PairAnswers Predicates(const SchemaGraph& g, const std::vector<ClassId>& cs) {
+  PairAnswers out;
+  for (ClassId a : cs) {
+    for (ClassId b : cs) {
+      out.isa.push_back(g.IsaSubsumedBy(a, b));
+      out.dup.push_back(g.IsDuplicateOf(a, b));
+    }
+  }
+  return out;
+}
+
+/// The same answers from the extent predicates and the type test done by
+/// hand: is-a = extent ⊆ and names covered; duplicate = extents equal
+/// and bindings equal (or the pair is the zoo's refine twins).
+PairAnswers ByHand(const SchemaGraph& g, const std::vector<ClassId>& cs,
+                   std::pair<ClassId, ClassId> twins) {
+  PairAnswers out;
+  for (ClassId a : cs) {
+    for (ClassId b : cs) {
+      TypeSet ta = g.EffectiveType(a).value();
+      TypeSet tb = g.EffectiveType(b).value();
+      out.isa.push_back(g.ExtentSubsumedBy(a, b) && ta.CoversNamesOf(tb));
+      bool twin = (a == twins.first && b == twins.second) ||
+                  (a == twins.second && b == twins.first);
+      out.dup.push_back(a != b && g.ExtentEquivalent(a, b) &&
+                        (ta == tb || twin));
+    }
+  }
+  return out;
+}
+
+TEST(SubsumptionOrderTest, PredicatesMatchExtentAndTypeTestsInBothOrders) {
+  // The predicates test types before extents and share memos with the
+  // extent queries; neither the order inside them nor the order in
+  // which queries arrive may change an answer.
+  SchemaGraph predicates_first, by_hand_first;
+  std::pair<ClassId, ClassId> twins, twins2;
+  std::vector<ClassId> cs = BuildZoo(&predicates_first, &twins);
+  std::vector<ClassId> cs2 = BuildZoo(&by_hand_first, &twins2);
+  ASSERT_EQ(cs, cs2);
+
+  PairAnswers p1 = Predicates(predicates_first, cs);
+  PairAnswers h1 = ByHand(predicates_first, cs, twins);
+  PairAnswers h2 = ByHand(by_hand_first, cs, twins);
+  PairAnswers p2 = Predicates(by_hand_first, cs);
+  EXPECT_TRUE(p1 == h1);
+  EXPECT_TRUE(p2 == h2);
+  EXPECT_TRUE(p1 == p2);
+
+  // The zoo exercises both answers of both predicates.
+  auto at = [&](const std::vector<bool>& m, ClassId a, ClassId b) {
+    size_t i = std::find(cs.begin(), cs.end(), a) - cs.begin();
+    size_t j = std::find(cs.begin(), cs.end(), b) - cs.begin();
+    return m[i * cs.size() + j];
+  };
+  EXPECT_TRUE(at(p1.dup, twins.first, twins.second));
+  EXPECT_TRUE(at(p1.isa, cs[4], cs[1]));   // TA is-a Person
+  EXPECT_FALSE(at(p1.isa, cs[1], cs[4]));  // Person is not a TA
+  size_t positives = 0;
+  for (bool v : p1.isa) positives += v;
+  EXPECT_GT(positives, cs.size());
+  EXPECT_LT(positives, cs.size() * cs.size() / 2);
+}
+
+TEST(SubsumptionOrderTest, QueriesRunConcurrentlyWithDdl) {
+  // Readers hold pointers into the type memo under the shared graph
+  // latch while a DDL thread defines classes and properties, which
+  // erases memo entries under the exclusive latch. Run under TSan/ASan.
+  SchemaGraph g;
+  std::pair<ClassId, ClassId> twins;
+  std::vector<ClassId> cs = BuildZoo(&g, &twins);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  std::atomic<size_t> queries{0};
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      size_t i = static_cast<size_t>(t);
+      while (!done.load()) {
+        ClassId a = cs[i % cs.size()];
+        ClassId b = cs[(i / cs.size() + t) % cs.size()];
+        (void)g.IsaSubsumedBy(a, b);
+        (void)g.IsDuplicateOf(a, b);
+        (void)g.ResolveProperty(a, "name");
+        ++i;
+        queries.fetch_add(1);
+        // Pace the readers: enough to interleave with every DDL step
+        // without starving the exclusive latch or loading the machine.
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+  }
+  while (queries.load() < 3) std::this_thread::yield();
+  // No ASSERT before the readers are joined: an early return would
+  // destroy joinable threads.
+  for (int i = 0; i < 40; ++i) {
+    auto refine = g.AddRefineClass(
+        StrCat("R", i), cs[2],
+        {PropertySpec::Attribute(StrCat("r", i), ValueType::kInt)}, {});
+    EXPECT_TRUE(refine.ok());
+    if (!refine.ok()) break;
+    EXPECT_TRUE(g.IsaSubsumedBy(refine.value(), cs[2]));
+    auto def = g.DefineProperty(
+        PropertySpec::Attribute(StrCat("l", i), ValueType::kInt), cs[1]);
+    EXPECT_TRUE(def.ok());
+    if (!def.ok()) break;
+    EXPECT_TRUE(g.AddLocalProperty(cs[1], def.value()).ok());
+    if (i % 2 == 0) {
+      EXPECT_TRUE(g.RemoveClass(refine.value()).ok());
+    }
+  }
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_TRUE(g.IsaSubsumedBy(cs[4], cs[1]));
 }
 
 }  // namespace
