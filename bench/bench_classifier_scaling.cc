@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include <memory>
 
 #include "evolution/tse_manager.h"
@@ -168,4 +166,4 @@ BENCHMARK(BM_SubschemaEvolution)
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

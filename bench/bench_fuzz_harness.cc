@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "fuzz/differential_executor.h"
 #include "fuzz/fuzz_case.h"
 
@@ -73,4 +71,4 @@ BENCHMARK(BM_DifferentialReplayEquivalenceOnly);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include <memory>
 
 #include "evolution/tse_manager.h"
@@ -196,4 +194,4 @@ BENCHMARK(BM_VersionMerge)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

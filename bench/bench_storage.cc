@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include <filesystem>
 
 #include "common/random.h"
@@ -102,4 +100,4 @@ BENCHMARK(BM_RecoveryReplay)->Arg(1000)->Arg(10000);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

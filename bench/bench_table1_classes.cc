@@ -10,8 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "common/random.h"
 #include "objmodel/intersection_store.h"
 #include "objmodel/slicing_store.h"
@@ -90,4 +88,4 @@ BENCHMARK(BM_SlicingClassGrowth)
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

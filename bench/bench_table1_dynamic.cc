@@ -10,8 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "objmodel/intersection_store.h"
 #include "objmodel/slicing_store.h"
 
@@ -69,4 +67,4 @@ BENCHMARK(BM_IntersectionReclassify)->Arg(2)->Arg(8)->Arg(32);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

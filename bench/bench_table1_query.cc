@@ -11,8 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "common/random.h"
 #include "objmodel/intersection_store.h"
 #include "objmodel/slicing_store.h"
@@ -129,4 +127,4 @@ BENCHMARK(BM_IntersectionInheritedRead)->Arg(10000)->Arg(50000);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

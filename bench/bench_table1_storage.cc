@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "objmodel/intersection_store.h"
 #include "objmodel/slicing_store.h"
 
@@ -75,4 +73,4 @@ BENCHMARK(BM_IntersectionStorage)
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -21,8 +21,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include "baseline/direct_engine.h"
 #include "baseline/versioning_sims.h"
 #include "evolution/tse_manager.h"
@@ -257,4 +255,4 @@ BENCHMARK(BM_Rose)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

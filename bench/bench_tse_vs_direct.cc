@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include <memory>
 
 #include "baseline/direct_engine.h"
@@ -104,4 +102,4 @@ BENCHMARK(BM_DirectAddAttribute)
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -11,8 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_metrics_main.h"
-
 #include <memory>
 
 #include "evolution/tse_manager.h"
@@ -109,4 +107,4 @@ BENCHMARK(BM_ReadThroughChain)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 }  // namespace
 
-TSE_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -70,44 +70,37 @@ void ExtentEvaluator::Sync() const {
     }
   }
 
-  const uint64_t head = store_->journal_head();
-  if (journal_cursor_ == head) return;
-  if (cache_.empty()) {
-    // Nothing materialized — nothing to maintain.
-    journal_cursor_ = head;
-    return;
-  }
-  std::vector<ChangeRecord> records;
-  if (!store_->ChangesSince(journal_cursor_, &records)) {
-    // Journal trimmed past our cursor: we missed deltas, start over.
-    TSE_COUNT("algebra.extent.journal_gaps");
-    DropAll();
-    journal_cursor_ = head;
-    return;
-  }
-  if (records.size() >= kDeltaAbandonThreshold) {
-    // Cost cutover: a batch this large costs more to replay record by
-    // record than re-deriving the touched extents lazily does.
-    TSE_COUNT("algebra.plan.delta_abandoned");
-    DropAll();
-    journal_cursor_ = head;
-    return;
-  }
-  TSE_COUNT("algebra.plan.delta_maintain");
-  for (const ChangeRecord& rec : records) {
-    if (!ApplyRecord(rec).ok()) {
-      // Delta application hit an evaluation error (e.g. a predicate
-      // error on the changed object). Fall back to dropping the cache;
-      // the lazy recompute will surface the error to whoever asks.
-      stats_.delta_eval_errors.fetch_add(1, std::memory_order_relaxed);
-      TSE_COUNT("algebra.extent.delta_eval_errors");
-      DropAll();
-      break;
-    }
-    stats_.delta_records.fetch_add(1, std::memory_order_relaxed);
-    TSE_COUNT("algebra.extent.delta_records");
-  }
-  journal_cursor_ = head;
+  store_->DrainJournal(
+      &journal_cursor_, !cache_.empty(),
+      [&] {
+        // Journal trimmed past our cursor: we missed deltas, start over.
+        TSE_COUNT("algebra.extent.journal_gaps");
+        DropAll();
+      },
+      [&](const std::vector<ChangeRecord>& records) {
+        if (records.size() >= kDeltaAbandonThreshold) {
+          // Cost cutover: a batch this large costs more to replay record
+          // by record than re-deriving the touched extents lazily does.
+          TSE_COUNT("algebra.plan.delta_abandoned");
+          DropAll();
+          return;
+        }
+        TSE_COUNT("algebra.plan.delta_maintain");
+        for (const ChangeRecord& rec : records) {
+          if (!ApplyRecord(rec).ok()) {
+            // Delta application hit an evaluation error (e.g. a predicate
+            // error on the changed object). Fall back to dropping the
+            // cache; the lazy recompute will surface the error to
+            // whoever asks.
+            stats_.delta_eval_errors.fetch_add(1, std::memory_order_relaxed);
+            TSE_COUNT("algebra.extent.delta_eval_errors");
+            DropAll();
+            return;
+          }
+          stats_.delta_records.fetch_add(1, std::memory_order_relaxed);
+          TSE_COUNT("algebra.extent.delta_records");
+        }
+      });
 }
 
 Status ExtentEvaluator::ApplyRecord(const ChangeRecord& rec) const {

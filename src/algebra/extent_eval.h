@@ -64,7 +64,7 @@ class ExtentEvaluator {
   /// it even if the evaluator keeps applying deltas underneath.
   using ExtentPtr = std::shared_ptr<const std::set<Oid>>;
 
-  /// Observability counters for the cache, reported by bench_report.
+  /// Counters for the cache, read through stats().
   struct CacheStats {
     uint64_t hits = 0;            ///< Extent()/IsMember() served from cache
     uint64_t misses = 0;          ///< cold evaluations (cache fills)
@@ -112,8 +112,7 @@ class ExtentEvaluator {
 
   /// Toggles incremental maintenance. When off, the evaluator reverts
   /// to whole-cache invalidation on any data write or schema change —
-  /// the pre-optimization behaviour, kept as the benchmark baseline and
-  /// as a fallback escape hatch.
+  /// the pre-optimization behaviour, kept as the cold oracle for tests.
   void set_incremental(bool on) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     incremental_ = on;

@@ -38,7 +38,6 @@ Status Db::Bootstrap(DbOptions options) {
   classifier_ = std::make_unique<classifier::Classifier>(schema_.get());
   extents_ =
       std::make_unique<algebra::ExtentEvaluator>(schema_.get(), store_.get());
-  extents_->set_incremental(options_.incremental_extents);
   indexes_ =
       std::make_unique<index::IndexManager>(schema_.get(), store_.get());
   extents_->set_index_manager(indexes_.get());
@@ -136,7 +135,7 @@ void Db::MigratorLoop() {
     bg_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
       return bg_stop_ || backfill_->pending_any();
     });
-    if (!bg_stop_ && options_.mvcc_snapshots && options_.vacuum_every != 0) {
+    if (!bg_stop_ && options_.vacuum_every != 0) {
       lock.unlock();
       (void)VacuumVersions();
       lock.lock();
@@ -323,10 +322,6 @@ Result<std::unique_ptr<Snapshot>> Db::OpenSnapshot(
 
 Result<std::unique_ptr<Snapshot>> Db::OpenSnapshotAt(ViewId view_id,
                                                      uint64_t epoch) {
-  if (!options_.mvcc_snapshots) {
-    return Status::FailedPrecondition(
-        "snapshots require DbOptions::mvcc_snapshots");
-  }
   const view::ViewSchema* vs = nullptr;
   {
     std::shared_lock<std::shared_mutex> lock(schema_mu_);
@@ -388,7 +383,7 @@ size_t Db::VacuumVersions() {
 }
 
 void Db::MaybeVacuum() {
-  if (!options_.mvcc_snapshots || options_.vacuum_every == 0) return;
+  if (options_.vacuum_every == 0) return;
   if (visible_epoch() % options_.vacuum_every != 0) return;
   (void)VacuumVersions();
 }

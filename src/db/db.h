@@ -53,10 +53,6 @@ struct DbOptions {
   /// explicit Save()/Checkpoint() calls.
   bool durable_updates = true;
 
-  /// Incremental extent-cache maintenance (DESIGN.md §6). Off = the
-  /// pre-optimization whole-cache invalidation baseline.
-  bool incremental_extents = true;
-
   /// Online, non-blocking schema change (DESIGN.md §10): schema changes
   /// publish through the versioned catalog without draining in-flight
   /// session operations, and capacity-augmenting implementation objects
@@ -82,14 +78,6 @@ struct DbOptions {
   /// How long a transaction waits for a contended object lock before
   /// giving up with Aborted (timeout-based deadlock resolution).
   std::chrono::milliseconds lock_timeout{200};
-
-  /// Object-level multi-versioning for snapshot reads (DESIGN.md §13):
-  /// committed mutations record pre-image version chains stamped with a
-  /// monotonic commit epoch, so tse::Snapshot handles read a consistent
-  /// past state with no object locks. When false, mutations record no
-  /// versions (zero write-path overhead) and OpenSnapshot fails with
-  /// FailedPrecondition.
-  bool mvcc_snapshots = true;
 
   /// Write epochs between amortized in-line vacuum passes (version
   /// chains are additionally vacuumed by the background migrator's
@@ -245,8 +233,7 @@ class Db {
   /// Opens a read-only snapshot of the *current* version of `view_name`
   /// at the newest committed data epoch. The snapshot's reads are
   /// repeatable and take no object locks; its epoch stays safe from the
-  /// vacuum until the handle is destroyed. FailedPrecondition when
-  /// DbOptions::mvcc_snapshots is off.
+  /// vacuum until the handle is destroyed.
   [[nodiscard]] Result<std::unique_ptr<Snapshot>> OpenSnapshot(
       const std::string& view_name);
 

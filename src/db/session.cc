@@ -26,10 +26,8 @@ namespace {
 class MvccWriteGuard {
  public:
   MvccWriteGuard(objmodel::SlicingStore* store,
-                 std::atomic<uint64_t>* visible_epoch, bool enabled,
-                 uint64_t txn_marker)
-      : store_(store), visible_epoch_(visible_epoch), enabled_(enabled) {
-    if (!enabled_) return;
+                 std::atomic<uint64_t>* visible_epoch, uint64_t txn_marker)
+      : store_(store), visible_epoch_(visible_epoch) {
     if (txn_marker != 0) {
       pending_ = true;
       store_->BeginMvccPending(txn_marker);
@@ -39,7 +37,6 @@ class MvccWriteGuard {
     }
   }
   ~MvccWriteGuard() {
-    if (!enabled_) return;
     store_->EndMvccOp();
     if (!pending_) {
       visible_epoch_->store(next_, std::memory_order_release);
@@ -51,7 +48,6 @@ class MvccWriteGuard {
  private:
   objmodel::SlicingStore* store_;
   std::atomic<uint64_t>* visible_epoch_;
-  bool enabled_;
   bool pending_ = false;
   uint64_t next_ = 0;
 };
@@ -248,54 +244,55 @@ Status Session::PersistAndCommit(Oid oid) {
   return db_->committer_->CommitDurable();
 }
 
-Result<Oid> Session::Create(const std::string& class_name,
-                            const std::vector<update::Assignment>& assignments) {
+template <typename Op>
+Result<Oid> Session::Write(Oid oid, const std::string* class_name, Op op) {
   TSE_RETURN_IF_ERROR(RequireSession());
   TSE_LATENCY_US("db.session.update_us");
-  Oid oid;
+  if (oid.valid()) TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
   {
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
     TSE_COUNT("db.session.updates");
-    TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
+    ClassId cls;
+    if (class_name != nullptr) {
+      TSE_ASSIGN_OR_RETURN(cls, view_->Resolve(*class_name));
+    }
     std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
+    // First touch materializes pending backfill slices (for Delete, it
+    // also clears them so the task table never references a destroyed
+    // object).
+    if (oid.valid() && db_->backfill_->pending_any()) {
+      db_->backfill_->MaterializeObject(oid);
+    }
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
-                        db_->options_.mvcc_snapshots,
                         in_transaction() ? txn_->id().value() : 0);
     if (in_transaction()) {
-      TSE_ASSIGN_OR_RETURN(oid, txn_->Create(cls, assignments));
+      TSE_ASSIGN_OR_RETURN(oid, op(*txn_, cls));
       txn_touched_.push_back(oid);
       return oid;
     }
-    TSE_ASSIGN_OR_RETURN(oid, db_->engine_->Create(cls, assignments));
+    TSE_ASSIGN_OR_RETURN(oid, op(*db_->engine_, cls));
   }
   db_->MaybeVacuum();
   TSE_RETURN_IF_ERROR(PersistAndCommit(oid));
   return oid;
 }
 
+Result<Oid> Session::Create(const std::string& class_name,
+                            const std::vector<update::Assignment>& assignments) {
+  return Write(Oid(), &class_name, [&](auto& writer, ClassId cls) {
+    return writer.Create(cls, assignments);
+  });
+}
+
 Status Session::Set(Oid oid, const std::string& class_name,
                     const std::string& name, objmodel::Value value) {
-  TSE_RETURN_IF_ERROR(RequireSession());
-  TSE_LATENCY_US("db.session.update_us");
-  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
-  {
-    std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-    TSE_COUNT("db.session.updates");
-    TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    if (db_->backfill_->pending_any()) db_->backfill_->MaterializeObject(oid);
-    MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
-                        db_->options_.mvcc_snapshots,
-                        in_transaction() ? txn_->id().value() : 0);
-    if (in_transaction()) {
-      TSE_RETURN_IF_ERROR(txn_->Set(oid, cls, name, std::move(value)));
-      txn_touched_.push_back(oid);
-      return Status::OK();
-    }
-    TSE_RETURN_IF_ERROR(db_->engine_->Set(oid, cls, name, std::move(value)));
-  }
-  db_->MaybeVacuum();
-  return PersistAndCommit(oid);
+  return Write(oid, &class_name,
+               [&](auto& writer, ClassId cls) -> Result<Oid> {
+                 TSE_RETURN_IF_ERROR(
+                     writer.Set(oid, cls, name, std::move(value)));
+                 return oid;
+               })
+      .status();
 }
 
 Status Session::SetFromText(Oid oid, const std::string& class_name,
@@ -317,76 +314,30 @@ Status Session::SetFromText(Oid oid, const std::string& class_name,
 }
 
 Status Session::Add(Oid oid, const std::string& class_name) {
-  TSE_RETURN_IF_ERROR(RequireSession());
-  TSE_LATENCY_US("db.session.update_us");
-  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
-  {
-    std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-    TSE_COUNT("db.session.updates");
-    TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    if (db_->backfill_->pending_any()) db_->backfill_->MaterializeObject(oid);
-    MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
-                        db_->options_.mvcc_snapshots,
-                        in_transaction() ? txn_->id().value() : 0);
-    if (in_transaction()) {
-      TSE_RETURN_IF_ERROR(txn_->Add(oid, cls));
-      txn_touched_.push_back(oid);
-      return Status::OK();
-    }
-    TSE_RETURN_IF_ERROR(db_->engine_->Add(oid, cls));
-  }
-  db_->MaybeVacuum();
-  return PersistAndCommit(oid);
+  return Write(oid, &class_name,
+               [&](auto& writer, ClassId cls) -> Result<Oid> {
+                 TSE_RETURN_IF_ERROR(writer.Add(oid, cls));
+                 return oid;
+               })
+      .status();
 }
 
 Status Session::Remove(Oid oid, const std::string& class_name) {
-  TSE_RETURN_IF_ERROR(RequireSession());
-  TSE_LATENCY_US("db.session.update_us");
-  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
-  {
-    std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-    TSE_COUNT("db.session.updates");
-    TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    if (db_->backfill_->pending_any()) db_->backfill_->MaterializeObject(oid);
-    MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
-                        db_->options_.mvcc_snapshots,
-                        in_transaction() ? txn_->id().value() : 0);
-    if (in_transaction()) {
-      TSE_RETURN_IF_ERROR(txn_->Remove(oid, cls));
-      txn_touched_.push_back(oid);
-      return Status::OK();
-    }
-    TSE_RETURN_IF_ERROR(db_->engine_->Remove(oid, cls));
-  }
-  db_->MaybeVacuum();
-  return PersistAndCommit(oid);
+  return Write(oid, &class_name,
+               [&](auto& writer, ClassId cls) -> Result<Oid> {
+                 TSE_RETURN_IF_ERROR(writer.Remove(oid, cls));
+                 return oid;
+               })
+      .status();
 }
 
 Status Session::Delete(Oid oid) {
-  TSE_RETURN_IF_ERROR(RequireSession());
-  TSE_LATENCY_US("db.session.update_us");
-  TSE_RETURN_IF_ERROR(LockForTxn(oid, /*exclusive=*/true));
-  {
-    std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-    TSE_COUNT("db.session.updates");
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    // Clears any pending backfill entries so the task table never
-    // references a destroyed object.
-    if (db_->backfill_->pending_any()) db_->backfill_->MaterializeObject(oid);
-    MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
-                        db_->options_.mvcc_snapshots,
-                        in_transaction() ? txn_->id().value() : 0);
-    if (in_transaction()) {
-      TSE_RETURN_IF_ERROR(txn_->Delete(oid));
-      txn_touched_.push_back(oid);
-      return Status::OK();
-    }
-    TSE_RETURN_IF_ERROR(db_->engine_->Delete(oid));
-  }
-  db_->MaybeVacuum();
-  return PersistAndCommit(oid);
+  return Write(oid, nullptr,
+               [&](auto& writer, ClassId) -> Result<Oid> {
+                 TSE_RETURN_IF_ERROR(writer.Delete(oid));
+                 return oid;
+               })
+      .status();
 }
 
 // --- Transactions -----------------------------------------------------------
@@ -407,7 +358,7 @@ Status Session::Commit() {
   if (!in_transaction()) {
     return Status::FailedPrecondition("no open transaction");
   }
-  if (db_->options_.mvcc_snapshots) {
+  {
     // The commit point for snapshot readers: stamp every pending
     // pre-image this transaction captured with the next data epoch and
     // publish it, under the exclusive data latch and *before* the 2PL
@@ -451,9 +402,7 @@ Status Session::Rollback() {
     // pre-change live state, which every snapshot already reads), then
     // the transaction's now-redundant pending pre-images are dropped.
     status = txn_->Abort();
-    if (db_->options_.mvcc_snapshots) {
-      db_->store_->DropPending(txn_->id().value());
-    }
+    db_->store_->DropPending(txn_->id().value());
   }
   txn_.reset();
   txn_touched_.clear();

@@ -206,6 +206,15 @@ class Session final : public Backend {
   /// data latch, then group-commit with no latch held.
   Status PersistAndCommit(Oid oid);
 
+  /// The skeleton every write shares: the 2PL lock on `oid` (invalid
+  /// for Create: nothing to lock yet), the schema latch shared, the
+  /// resolve of `class_name` (null for Delete), the data latch
+  /// exclusive, first-touch backfill, MVCC stamping, then `op` on the
+  /// open transaction or on the engine (auto-commit: vacuum and durable
+  /// commit follow). `op(writer, cls)` returns the written oid.
+  template <typename Op>
+  Result<Oid> Write(Oid oid, const std::string* class_name, Op op);
+
   /// Inside a transaction, takes the 2PL lock on `oid` before any latch
   /// is held, so a lock wait never blocks other sessions' latched work
   /// (including the holder's Commit). No-op outside a transaction.

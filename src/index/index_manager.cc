@@ -102,55 +102,51 @@ size_t IndexManager::total_entries() const {
 }
 
 void IndexManager::SyncLocked() const {
-  const uint64_t head = store_->journal_head();
-  if (journal_cursor_ == head) return;
-  if (indexes_.empty()) {
-    journal_cursor_ = head;
-    return;
-  }
-  std::vector<ChangeRecord> records;
-  if (!store_->ChangesSince(journal_cursor_, &records)) {
-    // Fell behind the bounded journal: same contract as the extent
-    // cache — rebuild from a store scan instead of applying deltas.
-    TSE_COUNT("algebra.index.journal_gaps");
-    for (auto& [_, ix] : indexes_) {
-      RebuildLocked(&ix);
-      TSE_COUNT("algebra.index.rebuilds");
-    }
-    journal_cursor_ = head;
-    return;
-  }
-  for (const ChangeRecord& rec : records) {
-    switch (rec.kind) {
-      case ChangeRecord::Kind::kValueChanged: {
-        auto it = indexes_.find(rec.prop.value());
-        if (it == indexes_.end()) break;
-        AttrIndex& ix = it->second;
-        // Re-read the live value: a later record in this batch may have
-        // destroyed the object, in which case it reads as gone (erase;
-        // the kObjectDestroyed record will confirm).
-        auto value = store_->GetValue(rec.oid, ix.definer(), ix.def());
-        if (!value.ok()) {
-          ix.Erase(rec.oid);
-        } else {
-          ix.Set(rec.oid, value.value());  // Null erases
+  store_->DrainJournal(
+      &journal_cursor_, !indexes_.empty(),
+      [&] {
+        // Fell behind the bounded journal: same contract as the extent
+        // cache — rebuild from a store scan instead of applying deltas.
+        TSE_COUNT("algebra.index.journal_gaps");
+        for (auto& [_, ix] : indexes_) {
+          RebuildLocked(&ix);
+          TSE_COUNT("algebra.index.rebuilds");
         }
-        TSE_COUNT("algebra.index.maintain_records");
-        break;
+      },
+      [&](const std::vector<ChangeRecord>& records) {
+        for (const ChangeRecord& rec : records) ApplyLocked(rec);
+      });
+}
+
+void IndexManager::ApplyLocked(const ChangeRecord& rec) const {
+  switch (rec.kind) {
+    case ChangeRecord::Kind::kValueChanged: {
+      auto it = indexes_.find(rec.prop.value());
+      if (it == indexes_.end()) break;
+      AttrIndex& ix = it->second;
+      // Re-read the live value: a later record in this batch may have
+      // destroyed the object, in which case it reads as gone (erase;
+      // the kObjectDestroyed record will confirm).
+      auto value = store_->GetValue(rec.oid, ix.definer(), ix.def());
+      if (!value.ok()) {
+        ix.Erase(rec.oid);
+      } else {
+        ix.Set(rec.oid, value.value());  // Null erases
       }
-      case ChangeRecord::Kind::kObjectDestroyed:
-        for (auto& [_, ix] : indexes_) ix.Erase(rec.oid);
-        TSE_COUNT("algebra.index.maintain_records");
-        break;
-      case ChangeRecord::Kind::kObjectCreated:
-      case ChangeRecord::Kind::kMembershipAdded:
-      case ChangeRecord::Kind::kMembershipRemoved:
-        // Membership moves don't change attribute values; fresh objects
-        // have no values until a kValueChanged record arrives.
-        break;
+      TSE_COUNT("algebra.index.maintain_records");
+      break;
     }
+    case ChangeRecord::Kind::kObjectDestroyed:
+      for (auto& [_, ix] : indexes_) ix.Erase(rec.oid);
+      TSE_COUNT("algebra.index.maintain_records");
+      break;
+    case ChangeRecord::Kind::kObjectCreated:
+    case ChangeRecord::Kind::kMembershipAdded:
+    case ChangeRecord::Kind::kMembershipRemoved:
+      // Membership moves don't change attribute values; fresh objects
+      // have no values until a kValueChanged record arrives.
+      break;
   }
-  journal_cursor_ = head;
 }
 
 void IndexManager::RebuildLocked(AttrIndex* ix) const {

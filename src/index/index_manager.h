@@ -80,6 +80,8 @@ class IndexManager {
  private:
   /// Drains journal records into the indexes; gap => rebuild all.
   void SyncLocked() const;
+  /// Applies one journal record to every index it touches.
+  void ApplyLocked(const objmodel::ChangeRecord& rec) const;
   void RebuildLocked(AttrIndex* ix) const;
 
   const schema::SchemaGraph* schema_;

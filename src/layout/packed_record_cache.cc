@@ -161,85 +161,81 @@ std::vector<PackedRecordCache::ClassStats> PackedRecordCache::ExplainAll()
 
 void PackedRecordCache::SyncLocked() const {
   CheckSchemaLocked();
-  const uint64_t head = store_->journal_head();
-  if (journal_cursor_ == head) return;
-  if (packed_.empty()) {
-    journal_cursor_ = head;
-    return;
-  }
-  std::vector<ChangeRecord> records;
-  if (!store_->ChangesSince(journal_cursor_, &records)) {
-    // Fell behind the bounded journal: rebuild from a store scan, the
-    // same contract the extent cache and the index manager follow.
-    TSE_COUNT("layout.journal_gaps");
-    for (auto it = packed_.begin(); it != packed_.end();) {
-      if (BuildLocked(&it->second).ok()) {
-        TSE_COUNT("layout.rebuilds");
-        ++it;
-      } else {
-        pins_.erase(it->first);
-        it = packed_.erase(it);
-        TSE_COUNT("layout.demotions");
+  store_->DrainJournal(
+      &journal_cursor_, !packed_.empty(),
+      [&] {
+        // Fell behind the bounded journal: rebuild from a store scan, the
+        // same contract the extent cache and the index manager follow.
+        TSE_COUNT("layout.journal_gaps");
+        for (auto it = packed_.begin(); it != packed_.end();) {
+          if (BuildLocked(&it->second).ok()) {
+            TSE_COUNT("layout.rebuilds");
+            ++it;
+          } else {
+            pins_.erase(it->first);
+            it = packed_.erase(it);
+            TSE_COUNT("layout.demotions");
+          }
+        }
+        RebuildDefMapLocked();
+        promoted_count_.store(packed_.size(), std::memory_order_relaxed);
+      },
+      [&](const std::vector<ChangeRecord>& records) {
+        for (const ChangeRecord& rec : records) ApplyLocked(rec);
+      });
+}
+
+void PackedRecordCache::ApplyLocked(const ChangeRecord& rec) const {
+  switch (rec.kind) {
+    case ChangeRecord::Kind::kValueChanged: {
+      auto dm = def_map_.find(rec.prop.value());
+      if (dm == def_map_.end()) break;
+      for (uint64_t cls_raw : dm->second) {
+        auto pit = packed_.find(cls_raw);
+        if (pit == packed_.end()) continue;
+        PackedClass& pc = pit->second;
+        auto row = pc.row_of.find(rec.oid.value());
+        if (row == pc.row_of.end()) continue;
+        Column& column = pc.columns[pc.col_of.at(rec.prop.value())];
+        // Re-read the live value: a later record in this batch may
+        // have destroyed the object (its kObjectDestroyed record will
+        // remove the row; Null is consistent until then).
+        auto value = store_->GetValue(rec.oid, column.definer, column.def);
+        column.cells[row->second] =
+            value.ok() ? std::move(value).value() : Value();
+        TSE_COUNT("layout.maintain_records");
       }
+      break;
     }
-    RebuildDefMapLocked();
-    promoted_count_.store(packed_.size(), std::memory_order_relaxed);
-    journal_cursor_ = head;
-    return;
-  }
-  for (const ChangeRecord& rec : records) {
-    switch (rec.kind) {
-      case ChangeRecord::Kind::kValueChanged: {
-        auto dm = def_map_.find(rec.prop.value());
-        if (dm == def_map_.end()) break;
-        for (uint64_t cls_raw : dm->second) {
-          auto pit = packed_.find(cls_raw);
-          if (pit == packed_.end()) continue;
-          PackedClass& pc = pit->second;
-          auto row = pc.row_of.find(rec.oid.value());
-          if (row == pc.row_of.end()) continue;
-          Column& column = pc.columns[pc.col_of.at(rec.prop.value())];
-          // Re-read the live value: a later record in this batch may
-          // have destroyed the object (its kObjectDestroyed record will
-          // remove the row; Null is consistent until then).
-          auto value = store_->GetValue(rec.oid, column.definer, column.def);
-          column.cells[row->second] =
-              value.ok() ? std::move(value).value() : Value();
-          TSE_COUNT("layout.maintain_records");
-        }
-        break;
+    case ChangeRecord::Kind::kMembershipAdded:
+      for (auto& [_, pc] : packed_) {
+        if (pc.row_of.count(rec.oid.value()) != 0) continue;
+        if (!schema_->ExtentSubsumedBy(rec.cls, pc.cls)) continue;
+        AddRowLocked(&pc, rec.oid);
+        TSE_COUNT("layout.maintain_records");
       }
-      case ChangeRecord::Kind::kMembershipAdded:
-        for (auto& [_, pc] : packed_) {
-          if (pc.row_of.count(rec.oid.value()) != 0) continue;
-          if (!schema_->ExtentSubsumedBy(rec.cls, pc.cls)) continue;
-          AddRowLocked(&pc, rec.oid);
-          TSE_COUNT("layout.maintain_records");
-        }
-        break;
-      case ChangeRecord::Kind::kMembershipRemoved:
-        for (auto& [_, pc] : packed_) {
-          if (pc.row_of.count(rec.oid.value()) == 0) continue;
-          if (!schema_->ExtentSubsumedBy(rec.cls, pc.cls)) continue;
-          // The oid may remain a row via another subsumed membership.
-          if (MemberLocked(pc, rec.oid)) continue;
-          RemoveRowLocked(&pc, rec.oid);
-          TSE_COUNT("layout.maintain_records");
-        }
-        break;
-      case ChangeRecord::Kind::kObjectDestroyed:
-        for (auto& [_, pc] : packed_) {
-          if (pc.row_of.count(rec.oid.value()) == 0) continue;
-          RemoveRowLocked(&pc, rec.oid);
-          TSE_COUNT("layout.maintain_records");
-        }
-        break;
-      case ChangeRecord::Kind::kObjectCreated:
-        // Fresh objects carry no memberships or values yet.
-        break;
-    }
+      break;
+    case ChangeRecord::Kind::kMembershipRemoved:
+      for (auto& [_, pc] : packed_) {
+        if (pc.row_of.count(rec.oid.value()) == 0) continue;
+        if (!schema_->ExtentSubsumedBy(rec.cls, pc.cls)) continue;
+        // The oid may remain a row via another subsumed membership.
+        if (MemberLocked(pc, rec.oid)) continue;
+        RemoveRowLocked(&pc, rec.oid);
+        TSE_COUNT("layout.maintain_records");
+      }
+      break;
+    case ChangeRecord::Kind::kObjectDestroyed:
+      for (auto& [_, pc] : packed_) {
+        if (pc.row_of.count(rec.oid.value()) == 0) continue;
+        RemoveRowLocked(&pc, rec.oid);
+        TSE_COUNT("layout.maintain_records");
+      }
+      break;
+    case ChangeRecord::Kind::kObjectCreated:
+      // Fresh objects carry no memberships or values yet.
+      break;
   }
-  journal_cursor_ = head;
 }
 
 void PackedRecordCache::CheckSchemaLocked() const {

@@ -170,6 +170,8 @@ class PackedRecordCache {
 
   /// Schema invalidation + journal drain; gap => rebuild all.
   void SyncLocked() const;
+  /// Applies one journal record to every packed class it touches.
+  void ApplyLocked(const objmodel::ChangeRecord& rec) const;
   void CheckSchemaLocked() const;
   /// (Re)derives columns, rows, and cells from a store scan.
   Status BuildLocked(PackedClass* pc) const;

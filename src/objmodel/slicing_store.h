@@ -37,8 +37,9 @@ struct Slice {
 /// subscribe by pulling records since their last-seen sequence number
 /// and applying them as deltas instead of re-deriving from scratch;
 /// falling behind the bounded journal (ChangesSince returns false)
-/// means rebuild. Three consumers ride this contract today: the extent
-/// cache (algebra::ExtentEvaluator), the secondary indexes
+/// means rebuild. Three consumers ride this contract today, each
+/// through SlicingStore::DrainJournal: the extent cache
+/// (algebra::ExtentEvaluator), the secondary indexes
 /// (index::IndexManager), and the packed-record layout cache
 /// (layout::PackedRecordCache) — see docs/ARCHITECTURE.md.
 struct ChangeRecord {
@@ -186,6 +187,28 @@ class SlicingStore {
   /// from the bounded journal — the consumer fell too far behind and
   /// must rebuild from scratch instead of applying deltas.
   bool ChangesSince(uint64_t cursor, std::vector<ChangeRecord>* out) const;
+
+  /// The one journal-drain loop every delta consumer runs over its own
+  /// `*cursor`: already at the head, nothing to do; nothing
+  /// `materialized`, jump to the head; records past the cursor trimmed
+  /// (see ChangesSince), `on_gap()` rebuilds; otherwise
+  /// `apply(records)` sees every record past the cursor, oldest first.
+  /// The cursor then moves to the head.
+  template <typename OnGap, typename Apply>
+  void DrainJournal(uint64_t* cursor, bool materialized, OnGap on_gap,
+                    Apply apply) const {
+    const uint64_t head = journal_head();
+    if (*cursor == head) return;
+    if (materialized) {
+      std::vector<ChangeRecord> records;
+      if (ChangesSince(*cursor, &records)) {
+        apply(records);
+      } else {
+        on_gap();
+      }
+    }
+    *cursor = head;
+  }
 
   /// Journal capacity; records older than the newest `kJournalCapacity`
   /// are trimmed. Deliberately generous: an extent evaluator consulted

@@ -7,9 +7,10 @@
 //     from the other shards;
 //   * cross-shard reads: the cluster extent is exactly the union of
 //     the per-shard extents;
-//   * fleet-wide 2PC schema change mid-run: a client pinned to the old
-//     view version before the change keeps reading and writing with
-//     zero failures while the fleet flips underneath it;
+//   * fleet-wide 2PC schema change mid-run: one writer thread per
+//     shard, pinned to the old view version, keeps writing through the
+//     flip with zero failed requests, and a pinned client keeps reading
+//     and writing with zero failures after it;
 //   * crash during 2PC: with one shard SIGKILLed, a fleet-wide change
 //     fails cleanly and the surviving shards roll back their prepares
 //     — still serving, still on the pre-change version, and still able
@@ -17,12 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/client.h"
@@ -171,9 +175,53 @@ TEST(ClusterRouting, ShardedFleetEndToEnd) {
   }
   ASSERT_EQ(shard0_oid.value() % kShards, 0u);
 
+  // One pinned writer per shard, each on its own connection bound to v1
+  // before the change, keeps writing its home objects through the
+  // flip: at least kWritesPerSide Sets land on each side of it.
+  constexpr uint64_t kWritesPerSide = 50;
+  std::vector<std::unique_ptr<Client>> writers;
+  for (int i = 0; i < kShards; ++i) {
+    writers.push_back(
+        Client::Connect("127.0.0.1", std::stoi(procs[i].port)).value());
+    ASSERT_TRUE(writers[i]->OpenSession("Main").ok());
+  }
+  std::atomic<uint64_t> writes{0};
+  std::atomic<uint64_t> write_failures{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kShards; ++i) {
+    threads.emplace_back([&, i] {
+      std::vector<Oid> home;
+      for (Oid oid : oids) {
+        if (cluster.ShardOf(oid) == static_cast<size_t>(i)) home.push_back(oid);
+      }
+      for (uint64_t n = 0; !stop.load(); ++n) {
+        Oid target = home[n % home.size()];
+        if (!writers[i]
+                 ->Set(target, "Student", "name",
+                       Value::Str("w" + std::to_string(n)))
+                 .ok()) {
+          write_failures.fetch_add(1);
+        }
+        writes.fetch_add(1);
+      }
+    });
+  }
+  auto wait_for_writes = [&](uint64_t target) {
+    while (writes.load() < target) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_for_writes(kShards * kWritesPerSide);
+
   auto flipped = cluster.Apply("add_attribute register:bool to Student");
+  wait_for_writes(writes.load() + kShards * kWritesPerSide);
+  stop.store(true);
+  for (auto& t : threads) t.join();
   ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
   EXPECT_EQ(cluster.view_version(), 2);
+  EXPECT_EQ(write_failures.load(), 0u) << "of " << writes.load() << " writes";
+  for (const auto& writer : writers) EXPECT_EQ(writer->view_version(), 1);
 
   // Zero failures on the pinned connection: reads and writes through
   // the old version keep working after the fleet flipped.

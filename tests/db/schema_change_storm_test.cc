@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,6 +187,16 @@ TEST(SchemaChangeStormTest, PinnedSessionsRideThroughAStorm) {
   //    not by the engine).
   double read_ratio_bound = 2.0 * P99(baseline.read_us) + 2000.0;
   double update_ratio_bound = 2.0 * P99(baseline.update_us) + 2000.0;
+  // The slack hides misses of the plain 2x target, so every run also
+  // reports the bare ratios.
+  const double read_ratio = P99(storm.read_us) / P99(baseline.read_us);
+  const double update_ratio = P99(storm.update_us) / P99(baseline.update_us);
+  std::cout << "storm p99 / baseline p99 (target 2x, no slack): read "
+            << read_ratio << "x" << (read_ratio > 2.0 ? " MISS" : "")
+            << ", update " << update_ratio << "x"
+            << (update_ratio > 2.0 ? " MISS" : "") << "\n";
+  RecordProperty("read_p99_ratio", std::to_string(read_ratio));
+  RecordProperty("update_p99_ratio", std::to_string(update_ratio));
   EXPECT_LT(P99(storm.read_us), read_ratio_bound)
       << "baseline read p99 " << P99(baseline.read_us) << "us";
   EXPECT_LT(P99(storm.update_us), update_ratio_bound)

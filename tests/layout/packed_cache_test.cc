@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "algebra/extent_eval.h"
 #include "algebra/object_accessor.h"
+#include "algebra/planner.h"
 #include "layout/layout_advisor.h"
 #include "layout/packed_record_cache.h"
 #include "objmodel/slicing_store.h"
+#include "obs/metrics.h"
 #include "schema/schema_graph.h"
 
 namespace tse::layout {
 namespace {
 
+using algebra::ExtentEvaluator;
 using algebra::ObjectAccessor;
+using algebra::PlanArm;
+using algebra::PlannerMode;
 using objmodel::MethodExpr;
 using objmodel::SlicingStore;
 using objmodel::Value;
@@ -359,6 +366,98 @@ TEST_F(PackedCacheTest, AdvisorAutoPromotesHotAndDemotesCold) {
   for (int i = 0; i < 20; ++i) (void)cache.TryGetPacked(g, Def(w_def_), &v);
   EXPECT_TRUE(cache.IsPromoted(item_));
   EXPECT_EQ(cache.Explain(item_).value().state, "pinned");
+}
+
+
+// --- A deep is-a chain: one packed row instead of six slices -------------
+
+TEST(PackedChainTest, PinnedChainServesEveryCellAndBatchScansMatchClassic) {
+  constexpr size_t kDepth = 6;  // is-a chain length == slices per object
+  constexpr size_t kObjects = 3000;
+  constexpr size_t kAccesses = 2000;
+  SchemaGraph graph;
+  SlicingStore store;
+  std::vector<ClassId> chain;
+  std::vector<std::string> attrs;
+  for (size_t d = 0; d < kDepth; ++d) {
+    attrs.push_back("a" + std::to_string(d));
+    std::vector<ClassId> supers;
+    if (d > 0) supers.push_back(chain.back());
+    chain.push_back(graph
+                        .AddBaseClass("C" + std::to_string(d), supers,
+                                      {PropertySpec::Attribute(
+                                          attrs[d], ValueType::kInt)})
+                        .value());
+  }
+  const ClassId leaf = chain.back();
+  ObjectAccessor sliced(&graph, &store);
+  std::vector<Oid> oids;
+  for (size_t i = 0; i < kObjects; ++i) {
+    Oid o = store.CreateObject();
+    ASSERT_TRUE(store.AddMembership(o, leaf).ok());
+    for (size_t d = 0; d < kDepth; ++d) {
+      // One write per slice: each attribute stores at its definer.
+      ASSERT_TRUE(sliced
+                      .Write(o, leaf, attrs[d],
+                             Value::Int(static_cast<int64_t>(i * kDepth + d)))
+                      .ok());
+    }
+    oids.push_back(o);
+  }
+
+  AdvisorOptions manual;
+  manual.enabled = false;
+  PackedRecordCache cache(&graph, &store, manual);
+  ASSERT_TRUE(cache.Pin(leaf).ok());
+  ObjectAccessor packed(&graph, &store);
+  packed.set_layout(&cache);
+
+  // Every point read of every attribute is served from packed cells,
+  // and answers what the slices hold.
+  const uint64_t hits_before = cache.Explain(leaf).value().hits;
+#ifndef TSE_OBS_DISABLE
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
+#endif
+  uint64_t rng = 42;
+  for (size_t i = 0; i < kAccesses; ++i) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    Oid o = oids[(rng >> 33) % oids.size()];
+    for (size_t d = 0; d < kDepth; ++d) {
+      auto got = packed.Read(o, leaf, attrs[d]);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got.value(), sliced.Read(o, leaf, attrs[d]).value());
+    }
+  }
+  EXPECT_EQ(cache.Explain(leaf).value().hits - hits_before,
+            kAccesses * kDepth);
+#ifndef TSE_OBS_DISABLE
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Instance().Snapshot().DeltaSince(before);
+  EXPECT_EQ(delta.counters.at("layout.packed.hits"), kAccesses * kDepth);
+#endif
+
+  // A select over the promoted chain class runs on the packed column
+  // block and returns exactly the classic scan's extent.
+  schema::Derivation sel;
+  sel.op = schema::DerivationOp::kSelect;
+  sel.sources = {leaf};
+  sel.predicate = MethodExpr::Lt(
+      MethodExpr::Attr(attrs[0]),
+      MethodExpr::Lit(Value::Int(static_cast<int64_t>(kObjects))));
+  ClassId low = graph.AddVirtualClass("Low", std::move(sel)).value();
+  ExtentEvaluator classic(&graph, &store);
+  classic.set_planner_mode(PlannerMode::kForceClassic);
+  ExtentEvaluator batch(&graph, &store);
+  batch.set_layout(&cache);
+  auto plan = batch.ExplainSelect(low);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().arm, PlanArm::kBatch);
+  auto expected = classic.Extent(low);
+  auto got = batch.Extent(low);
+  ASSERT_TRUE(expected.ok() && got.ok());
+  EXPECT_EQ(got.value()->size(), kObjects / kDepth);
+  EXPECT_EQ(*got.value(), *expected.value());
 }
 
 }  // namespace

@@ -4,7 +4,12 @@
 //  1. A randomized property test drives data churn and schema growth
 //     against a long-lived evaluator and compares every class extent
 //     with a cold evaluator after every operation.
-//  2. Every checked-in `.tsefuzz` repro replays with the
+//  2. An update-heavy refine chain (Section 9's propagation stress)
+//     keeps its select extent warm on deltas alone: every query hits,
+//     nothing rebuilds, and exactly the journaled records are applied,
+//     while the whole-cache-invalidation baseline rebuilds once per
+//     write and agrees at every step.
+//  3. Every checked-in `.tsefuzz` repro replays with the
 //     incremental-vs-cold cross-check forced on, so the historical
 //     divergences cannot return through the delta-propagation path.
 
@@ -19,9 +24,11 @@
 #include "algebra/processor.h"
 #include "algebra/query.h"
 #include "common/random.h"
+#include "evolution/tse_manager.h"
 #include "fuzz/fuzzer.h"
 #include "objmodel/slicing_store.h"
 #include "schema/schema_graph.h"
+#include "update/update_engine.h"
 
 #ifndef TSE_REPRO_DIR
 #error "TSE_REPRO_DIR must point at tests/property/repros"
@@ -165,6 +172,102 @@ TEST(ExtentIncrementalTest, RandomChurnMatchesColdEvaluation) {
     EXPECT_GT(inc.stats().delta_records, 0u) << "seed " << seed;
     EXPECT_GT(inc.stats().hits, inc.stats().misses) << "seed " << seed;
   }
+}
+
+TEST(ExtentIncrementalTest, DeepChainStaysWarmOnDeltasAlone) {
+  constexpr int kDepth = 8;
+  constexpr int kObjects = 300;
+  constexpr uint64_t kOps = 200;
+
+  // A populated base class refined kDepth times by add_attribute, with a
+  // select over the deepest refine class reading a stored attribute.
+  SchemaGraph graph;
+  SlicingStore store;
+  view::ViewManager views(&graph);
+  evolution::TseManager tse(&graph, &store, &views);
+  update::UpdateEngine db(&graph, &store, update::ValueClosurePolicy::kAllow);
+  ClassId base =
+      graph.AddBaseClass("Item", {},
+                         {PropertySpec::Attribute("id", ValueType::kInt)})
+          .value();
+  for (int i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(db.Create(base, {{"id", Value::Int(i)}}).ok());
+  }
+  ViewId vs = tse.CreateView("VS", {{base, ""}}).value();
+  for (int d = 0; d < kDepth; ++d) {
+    evolution::AddAttribute change;
+    change.class_name = "Item";
+    change.spec =
+        PropertySpec::Attribute("f" + std::to_string(d), ValueType::kInt);
+    vs = tse.ApplyChange(vs, change).value();
+  }
+  ClassId leaf = views.GetView(vs).value()->Resolve("Item").value();
+  AlgebraProcessor proc(&graph);
+  ClassId hot =
+      proc.DefineVC("HotItem",
+                    Query::Select(Query::Class(graph.GetClass(leaf).value()->name),
+                                  MethodExpr::Lt(MethodExpr::Attr("id"),
+                                                 MethodExpr::Lit(Value::Int(
+                                                     kObjects / 2)))))
+          .value();
+
+  // The engine's own evaluator maintains incrementally; a second one
+  // over the same store is the whole-cache-invalidation baseline.
+  ExtentEvaluator& inc = db.extents();
+  ASSERT_TRUE(inc.incremental());
+  ExtentEvaluator baseline(&graph, &store);
+  baseline.set_incremental(false);
+  ASSERT_TRUE(inc.Extent(hot).ok());
+  ASSERT_TRUE(baseline.Extent(hot).ok());
+  inc.ResetStats();
+  baseline.ResetStats();
+  const uint64_t journal_start = store.journal_head();
+
+  const auto leaf_extent = inc.Extent(leaf).value();
+  const std::vector<Oid> pool(leaf_extent->begin(), leaf_extent->end());
+  uint64_t queried_at = store.mutation_count();
+  uint64_t writes = 0;
+  // Both evaluators answer the same query; the baseline rebuilds
+  // whenever the store moved since its last answer.
+  auto expect_agree = [&](uint64_t op) {
+    if (store.mutation_count() != queried_at) ++writes;
+    queried_at = store.mutation_count();
+    auto a = inc.Extent(hot);
+    auto b = baseline.Extent(hot);
+    ASSERT_TRUE(a.ok() && b.ok()) << "op " << op;
+    EXPECT_EQ(*a.value(), *b.value()) << "op " << op;
+  };
+  Rng rng(42);
+  for (uint64_t op = 0; op < kOps; ++op) {
+    if (op % 10 == 9) {
+      // Membership delta: create through the chain, then destroy.
+      Oid fresh =
+          db.Create(base, {{"id", Value::Int(static_cast<int64_t>(
+                                      rng.Uniform(2 * pool.size())))}})
+              .value();
+      expect_agree(op);
+      ASSERT_TRUE(store.DestroyObject(fresh).ok());
+    } else {
+      // Value delta that can flip the select predicate's verdict.
+      Oid target = pool[rng.Uniform(pool.size())];
+      ASSERT_TRUE(db.Set(target, leaf, "id",
+                         Value::Int(static_cast<int64_t>(
+                             rng.Uniform(2 * pool.size()))))
+                      .ok());
+      expect_agree(op);
+    }
+    if (HasFatalFailure()) return;
+  }
+  expect_agree(kOps);  // drains the last destroy
+
+  const ExtentEvaluator::CacheStats inc_stats = inc.stats();
+  EXPECT_EQ(inc_stats.misses, 0u);
+  EXPECT_EQ(inc_stats.HitRate(), 1.0);
+  EXPECT_EQ(inc_stats.full_rebuilds, 0u);
+  EXPECT_GT(inc_stats.delta_records, 0u);
+  EXPECT_EQ(inc_stats.delta_records, store.journal_head() - journal_start);
+  EXPECT_GT(writes, kOps / 2);
+  EXPECT_EQ(baseline.stats().full_rebuilds, writes);
 }
 
 TEST(ExtentIncrementalTest, ReproCorpusReplaysCleanWithCrossCheck) {
