@@ -2,6 +2,8 @@
 
 #include <deque>
 
+#include "obs/metrics.h"
+
 namespace tse::algebra {
 
 using schema::ClassNode;
@@ -9,18 +11,42 @@ using schema::DerivationOp;
 using schema::PropertyDef;
 
 void DerivationDepGraph::Rebuild(const schema::SchemaGraph& schema) {
+  TSE_COUNT("algebra.deps.full_rebuilds");
   schema_ = &schema;
-  generation_ = schema.generation();
+  // Read the markers before the classes: a change racing with the scan
+  // moves them past these values, so the next Extend rebuilds again.
+  floor_ = schema.invalidate_floor();
+  removals_ = schema.removal_count();
+  next_ = 0;
   dependents_.clear();
   selects_.clear();
   selects_by_name_.clear();
   volatile_.clear();
   base_ups_.clear();
+  AddNewClasses(schema);
+}
 
-  for (ClassId cls : schema.AllClasses()) {
+void DerivationDepGraph::Extend(const schema::SchemaGraph& schema) {
+  if (schema_ != &schema || floor_ != schema.invalidate_floor() ||
+      removals_ != schema.removal_count()) {
+    Rebuild(schema);
+    return;
+  }
+  AddNewClasses(schema);
+}
+
+void DerivationDepGraph::AddNewClasses(const schema::SchemaGraph& schema) {
+  // Appending in id order keeps every list in the order a full rebuild
+  // produces.
+  for (ClassId cls : schema.ClassesFrom(ClassId(next_))) {
+    next_ = cls.value() + 1;
     auto node_or = schema.GetClass(cls);
     if (!node_or.ok()) continue;
     const ClassNode* node = node_or.value();
+    // No addition changes an existing class's answer (a new base class
+    // sits below the classes it names), so the memo could survive even
+    // this; base classes arrive rarely enough to drop it anyway.
+    if (node->is_base()) base_ups_.clear();
     for (ClassId src : node->derivation.sources) {
       dependents_[src.value()].push_back(cls);
     }

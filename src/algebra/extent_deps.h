@@ -18,9 +18,11 @@ namespace tse::algebra {
 /// derived classes it can affect, leaving every other cached extent
 /// untouched.
 ///
-/// The graph is a pure function of the schema; rebuild it whenever
-/// SchemaGraph::generation() moves (schema evolution only ever adds
-/// classes, so rebuilds are rare relative to data writes).
+/// The graph is a pure function of the schema. Schema evolution almost
+/// only adds classes, and an added class changes no existing class's
+/// derivation or type, so Extend() appends just the newcomers; only a
+/// class removal or a moved invalidate floor (name resolution under
+/// existing predicates may have shifted) costs a full Rebuild().
 class DerivationDepGraph {
  public:
   /// Per-select-class predicate analysis.
@@ -36,9 +38,17 @@ class DerivationDepGraph {
     bool is_volatile = false;
   };
 
-  /// Recomputes the graph from `schema`. Safe to call repeatedly; no-op
-  /// cheapness is the caller's concern (key on schema.generation()).
+  /// Recomputes the graph from `schema`.
   void Rebuild(const schema::SchemaGraph& schema);
+
+  /// Brings the graph up to date with `schema`: adds the classes created
+  /// since the last Extend/Rebuild, or rebuilds when the schema is a
+  /// different graph, removed a class, or moved its invalidate floor
+  /// since then. The result equals a fresh Rebuild. Relies on new
+  /// classes getting ids above every existing one (ids are allocated in
+  /// order and never reused; a catalog restore adds classes in id
+  /// order). Cheap when nothing changed.
+  void Extend(const schema::SchemaGraph& schema);
 
   /// Virtual classes whose derivation reads `cls`'s extent directly.
   const std::vector<ClassId>& Dependents(ClassId cls) const;
@@ -46,7 +56,7 @@ class DerivationDepGraph {
   /// Every base class whose computed extent includes `base_cls`'s
   /// direct extent — i.e. all base classes provably subsuming it,
   /// `base_cls` itself included. Lazily computed and memoized per class
-  /// until the next Rebuild.
+  /// until the next Rebuild or the next base class Extend adds.
   const std::vector<ClassId>& BaseUps(ClassId base_cls) const;
 
   /// Predicate analysis for `cls`, or nullptr when it is not a select
@@ -62,15 +72,19 @@ class DerivationDepGraph {
   /// invalidates them.
   const std::vector<ClassId>& VolatileSelects() const { return volatile_; }
 
-  /// Generation of the schema this graph was last rebuilt from.
-  uint64_t generation() const { return generation_; }
-
  private:
+  /// Indexes the classes with ids from `next_` on.
+  void AddNewClasses(const schema::SchemaGraph& schema);
   void AnalyzePredicate(const schema::SchemaGraph& schema,
                         const schema::ClassNode& node, SelectInfo* info);
 
   const schema::SchemaGraph* schema_ = nullptr;
-  uint64_t generation_ = 0;
+  /// schema_->invalidate_floor() and removal_count() as of the last
+  /// Rebuild: when either moves, existing entries may be stale.
+  uint64_t floor_ = 0;
+  uint64_t removals_ = 0;
+  /// Raw id of the first class not yet indexed.
+  uint64_t next_ = 0;
   std::map<uint64_t, std::vector<ClassId>> dependents_;
   std::map<uint64_t, SelectInfo> selects_;
   std::map<std::string, std::vector<ClassId>> selects_by_name_;

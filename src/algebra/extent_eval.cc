@@ -42,13 +42,13 @@ void ExtentEvaluator::Sync() const {
   }
 
   if (!synced_once_ || synced_generation_ != schema_->generation()) {
-    // Read the generation before rebuilding: DDL may add classes while
-    // the rebuild runs, and stamping the newer generation afterwards
-    // would leave those classes out of deps_ for good (their cached
-    // extents would stop receiving deltas). An older stamp just makes
-    // the next Sync rebuild again.
+    // Read the generation before extending: DDL may add classes while
+    // the extension runs, and stamping the newer generation afterwards
+    // could leave those classes out of deps_ until some later change
+    // (their cached extents would stop receiving deltas). An older
+    // stamp just makes the next Sync extend again.
     const uint64_t generation = schema_->generation();
-    deps_.Rebuild(*schema_);
+    deps_.Extend(*schema_);
     synced_generation_ = generation;
     synced_once_ = true;
     // Per-entry invalidation: an entry survives schema growth unless its

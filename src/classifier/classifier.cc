@@ -14,40 +14,49 @@ using schema::SchemaGraph;
 
 namespace {
 
-/// Candidates with no other candidate strictly below them.
-std::vector<ClassId> Minimal(const SchemaGraph& schema,
-                             const std::vector<ClassId>& candidates) {
+/// The candidates no other candidate lies strictly beyond, in id order:
+/// the direct supers when `down` (walking direct subs inside the up-set)
+/// and the direct subs otherwise (walking direct supers inside the sub
+/// candidates). `candidates` is sorted. Every class reachable from a
+/// candidate this way is on its far side, so a candidate loses as soon
+/// as the walk reaches one that is not equivalent to it. The walk passes
+/// through equivalent candidates: the classified DAG keeps is-a cycles
+/// between classes that subsume each other without being duplicates
+/// (a refine re-importing an overridden definition sits both above and
+/// below the class it refines), and a class strictly beyond the cycle
+/// is only reached through it. Completeness of the DAG makes the walk
+/// see every candidate the exhaustive filter would compare against.
+std::vector<ClassId> Frontier(const SchemaGraph& schema,
+                              const std::vector<ClassId>& candidates,
+                              bool down) {
+  auto in_set = [&](ClassId c) {
+    return std::binary_search(candidates.begin(), candidates.end(), c);
+  };
+  auto next = [&](ClassId c) {
+    return (down ? schema.DirectSubs(c) : schema.DirectSupers(c))
+        .value_or({});
+  };
   std::vector<ClassId> out;
   for (ClassId cand : candidates) {
-    bool minimal = true;
-    for (ClassId other : candidates) {
-      if (other == cand) continue;
-      if (schema.IsaSubsumedBy(other, cand) &&
-          !schema.IsaSubsumedBy(cand, other)) {
-        minimal = false;
-        break;
+    std::set<ClassId> seen{cand};
+    std::vector<ClassId> stack{cand};
+    bool frontier = true;
+    while (frontier && !stack.empty()) {
+      ClassId cur = stack.back();
+      stack.pop_back();
+      for (ClassId beyond : next(cur)) {
+        if (!in_set(beyond) || !seen.insert(beyond).second) continue;
+        TSE_COUNT("classifier.filter.checks");
+        const bool equivalent = down ? schema.IsaSubsumedBy(cand, beyond)
+                                     : schema.IsaSubsumedBy(beyond, cand);
+        if (!equivalent) {
+          frontier = false;
+          break;
+        }
+        stack.push_back(beyond);
       }
     }
-    if (minimal) out.push_back(cand);
-  }
-  return out;
-}
-
-/// Candidates with no other candidate strictly above them.
-std::vector<ClassId> Maximal(const SchemaGraph& schema,
-                             const std::vector<ClassId>& candidates) {
-  std::vector<ClassId> out;
-  for (ClassId cand : candidates) {
-    bool maximal = true;
-    for (ClassId other : candidates) {
-      if (other == cand) continue;
-      if (schema.IsaSubsumedBy(cand, other) &&
-          !schema.IsaSubsumedBy(other, cand)) {
-        maximal = false;
-        break;
-      }
-    }
-    if (maximal) out.push_back(cand);
+    if (frontier) out.push_back(cand);
   }
   return out;
 }
@@ -121,11 +130,15 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
       break;
     }
   }
+  std::vector<ClassId> below;
   for (ClassId cand : Descendants(schema, region, cls)) {
     TSE_COUNT("classifier.subsumption.checks");
-    if (schema.IsaSubsumedBy(cand, cls)) out.sub_candidates.push_back(cand);
+    if (schema.IsaSubsumedBy(cand, cls)) below.push_back(cand);
   }
-  out.super_candidates = std::move(up);
+
+  // --- Filters: the direct supers and subs, read off the DAG -------------
+  out.supers = Frontier(schema, up, /*down=*/true);
+  out.subs = Frontier(schema, below, /*down=*/false);
   return out;
 }
 
@@ -159,10 +172,8 @@ Result<ClassifyResult> Classifier::Classify(ClassId cls) {
     return result;
   }
 
-  // Direct supers: minimal candidates (no other candidate strictly
-  // between cls and them). Direct subs: maximal candidates.
-  std::vector<ClassId> supers = Minimal(*schema_, placement.super_candidates);
-  std::vector<ClassId> subs = Maximal(*schema_, placement.sub_candidates);
+  std::vector<ClassId> supers = std::move(placement.supers);
+  std::vector<ClassId> subs = std::move(placement.subs);
 
   // Fallback: a class with no provable superclass hangs off the root so
   // the DAG stays connected.

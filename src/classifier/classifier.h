@@ -26,12 +26,16 @@ struct ClassifyResult {
 /// without touching the graph.
 struct Placement {
   /// The lowest-id structural duplicate, or an invalid id when none.
-  /// When set, the candidate lists are left empty.
+  /// When set, `supers` and `subs` are left empty.
   ClassId duplicate;
-  /// Every classified class that is-a subsumes the class, in id order.
-  std::vector<ClassId> super_candidates;
-  /// Every classified class the class is-a subsumes, in id order.
-  std::vector<ClassId> sub_candidates;
+  /// The direct supers: classified classes that is-a subsume the class
+  /// with no other such class strictly below them, in id order. Empty
+  /// when nothing provably subsumes the class (the Classifier then falls
+  /// back to the root).
+  std::vector<ClassId> supers;
+  /// The direct subs: classified classes the class is-a subsumes with no
+  /// other such class strictly above them, in id order.
+  std::vector<ClassId> subs;
 };
 
 /// A placement search: a pure function of the graph and the class.
@@ -47,13 +51,18 @@ using PlacementSearch =
 ///     reached). These are the super candidates.
 ///   - duplicate: probed only inside the up-set, in id order; a
 ///     duplicate subsumes `cls` both ways, so it is always there.
-///   - subs: probed only among the descendants (itself included) of the
-///     first up-set class none of whose direct subs is in the up-set, or
-///     of the root when the up-set is empty; anything below `cls` is
-///     below each of its supers.
-/// Both rely on the DAG being complete (every classified subsumption is
-/// a path) and on is-a subsumption being transitive. The fuzzer's
-/// naive-scan arm checks the result against testing every class.
+///   - sub candidates: probed only among the descendants (itself
+///     included) of the first up-set class none of whose direct subs is
+///     in the up-set, or of the root when the up-set is empty; anything
+///     below `cls` is below each of its supers.
+///   - filters: a super candidate is direct unless a walk down its
+///     direct subs inside the up-set reaches a candidate not equivalent
+///     to it; a sub candidate likewise walking direct supers. Walks pass
+///     through equivalent candidates (is-a cycles).
+/// All of these rely on the DAG being complete (every classified
+/// subsumption is a path) and on is-a subsumption being transitive. The
+/// fuzzer's naive-scan arm checks the result against testing every
+/// class and filtering every candidate pair.
 Placement SearchPlacement(const schema::SchemaGraph& schema, ClassId cls);
 
 /// The MultiView classification algorithm (Rundensteiner [17]):
@@ -73,9 +82,9 @@ class Classifier {
   ///   1. The placement search runs. If it finds a structural duplicate
   ///      (equal provable extent and identical property bindings), `cls`
   ///      is removed and the existing class returned.
-  ///   2. Otherwise direct supers = minimal super candidates, direct
-  ///      subs = maximal sub candidates; edges are wired and edges that
-  ///      became transitive are removed.
+  ///   2. Otherwise the placement's direct supers (the root when there
+  ///      are none) and direct subs are wired, and edges that became
+  ///      transitive are removed.
   Result<ClassifyResult> Classify(ClassId cls);
 
   /// Classifies a batch in order, returning the representative ids.

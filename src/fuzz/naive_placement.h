@@ -9,8 +9,10 @@ namespace tse::fuzz {
 /// The exhaustive placement search the DAG search replaced, kept as a
 /// differential oracle: it tests `cls` against every classified class
 /// (base classes and classes with is-a edges) in id order — once for a
-/// duplicate, then as a super and as a sub candidate. A Classifier built
-/// on it must wire exactly the DAG the default search wires.
+/// duplicate, then as a super and as a sub candidate — and filters the
+/// candidates by comparing every pair (the O(k^2) minimal/maximal
+/// filters). A Classifier built on it must wire exactly the DAG the
+/// default search wires.
 classifier::Placement NaivePlacement(const schema::SchemaGraph& schema,
                                      ClassId cls);
 

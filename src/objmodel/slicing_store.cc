@@ -47,9 +47,12 @@ bool SlicingStore::ChangesSince(uint64_t cursor,
   if (journal_.empty() || journal_.front().seq > cursor + 1) {
     return false;  // records past the cursor were trimmed
   }
-  for (const ChangeRecord& rec : journal_) {
-    if (rec.seq > cursor) out->push_back(rec);
-  }
+  // Sequence numbers are gap-free, so the first record past the cursor
+  // sits at a computed offset: the cost follows the records returned,
+  // not the journal's length.
+  out->insert(out->end(),
+              journal_.begin() + (cursor + 1 - journal_.front().seq),
+              journal_.end());
   return true;
 }
 

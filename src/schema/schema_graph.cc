@@ -241,6 +241,16 @@ Result<ClassId> SchemaGraph::AddRefineClass(
   return cls;
 }
 
+void SchemaGraph::BumpFloorAndGeneration() {
+  // The floor moves before the generation: extent caches read the
+  // generation first and then the floor, so one that sees the new
+  // generation also sees the new floor and cannot stamp itself synced
+  // with state from under the old one.
+  const uint64_t generation = generation_.load(std::memory_order_relaxed) + 1;
+  invalidate_floor_.store(generation, std::memory_order_release);
+  generation_.store(generation, std::memory_order_release);
+}
+
 Status SchemaGraph::AddLocalProperty(ClassId cls, PropertyDefId def) {
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
   TSE_ASSIGN_OR_RETURN(ClassNode * node, GetMutable(cls));
@@ -257,9 +267,7 @@ Status SchemaGraph::AddLocalProperty(ClassId cls, PropertyDefId def) {
     std::unique_lock<std::shared_mutex> lock(memo_mu_);
     type_cache_.clear();
   }
-  const uint64_t generation =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  invalidate_floor_.store(generation, std::memory_order_release);
+  BumpFloorAndGeneration();
   return Status::OK();
 }
 
@@ -299,23 +307,21 @@ Status SchemaGraph::RemoveClassUnlocked(ClassId cls) {
   by_name_.erase(node->name);
   classes_by_op_[node->derivation.op].erase(cls.value());
   classes_.erase(cls.value());
-  // Surgical invalidation: only an unreferenced virtual class can be
-  // removed, and a removed class was at most a proof *witness* for
-  // subsumptions between other classes — facts that remain semantically
-  // true. Dropping just the entries that name it keeps the rest of the
-  // memo hot across a ClassifyAll batch full of discarded duplicates.
+  // The extent memo keeps its entries: only an unreferenced virtual
+  // class can be removed, and a removed class was at most a proof
+  // *witness* for subsumptions between other classes — facts that
+  // remain semantically true. Entries naming the removed class itself
+  // can no longer be reached: ids are never reused, no proof walks into
+  // a class that is gone from every index, and the public extent queries
+  // answer a removed class without the memo. Scanning the memo here
+  // instead would cost its whole size per discarded duplicate.
   {
     std::unique_lock<std::shared_mutex> lock(memo_mu_);
-    for (auto it = extent_cache_.begin(); it != extent_cache_.end();) {
-      if (it->first.first == cls.value() || it->first.second == cls.value()) {
-        it = extent_cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
     type_cache_.erase(cls.value());
   }
   class_versions_.erase(cls.value());
+  // The count moves first, like the floor in BumpFloorAndGeneration.
+  removals_.fetch_add(1, std::memory_order_acq_rel);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
@@ -417,9 +423,7 @@ Status SchemaGraph::RenameProperty(PropertyDefId id,
     std::unique_lock<std::shared_mutex> lock(memo_mu_);
     type_cache_.clear();
   }
-  const uint64_t generation =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  invalidate_floor_.store(generation, std::memory_order_release);
+  BumpFloorAndGeneration();
   return Status::OK();
 }
 
@@ -428,6 +432,16 @@ std::vector<ClassId> SchemaGraph::AllClasses() const {
   std::vector<ClassId> out;
   out.reserve(classes_.size());
   for (const auto& [raw, _] : classes_) out.push_back(ClassId(raw));
+  return out;
+}
+
+std::vector<ClassId> SchemaGraph::ClassesFrom(ClassId first) const {
+  std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  std::vector<ClassId> out;
+  for (auto it = classes_.lower_bound(first.value()); it != classes_.end();
+       ++it) {
+    out.push_back(ClassId(it->first));
+  }
   return out;
 }
 
@@ -661,12 +675,21 @@ std::vector<ClassId> SchemaGraph::DirectExtentUps(ClassId cls) const {
 
 bool SchemaGraph::ExtentSubsumedBy(ClassId a, ClassId b) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  if (a != b && !BothPresentLocked(a, b)) return false;
   return ExtentSubsumedByLocked(a, b);
 }
 
 bool SchemaGraph::ExtentEquivalent(ClassId a, ClassId b) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  if (a != b && !BothPresentLocked(a, b)) return false;
   return ExtentEquivalentLocked(a, b);
+}
+
+bool SchemaGraph::BothPresentLocked(ClassId a, ClassId b) const {
+  // Guards the memo's stale entries for removed classes (RemoveClass).
+  // The answer is what a proof would give: a missing class has no
+  // derivation to prove from, and none leads to it.
+  return classes_.count(a.value()) != 0 && classes_.count(b.value()) != 0;
 }
 
 bool SchemaGraph::ExtentSubsumedByLocked(ClassId a, ClassId b) const {

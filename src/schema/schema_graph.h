@@ -43,8 +43,9 @@ namespace tse::schema {
 ///     *Unlocked variants so a public method never re-enters the lock.
 ///   - `memo_mu_` guards the two lazily-filled memo caches; it nests
 ///     strictly *inside* graph_mu_.
-///   - `generation_` / `invalidate_floor_` are atomics readable without
-///     any lock (extent caches poll them on their hot path).
+///   - `generation_` / `invalidate_floor_` / `removals_` are atomics
+///     readable without any lock (extent caches poll them on their hot
+///     path).
 ///
 /// Returned `const ClassNode*` / `const PropertyDef*` pointers are
 /// stable: nodes live in node-based maps and only *unpublished*
@@ -88,6 +89,13 @@ class SchemaGraph {
   /// Lock-free (atomic).
   uint64_t invalidate_floor() const {
     return invalidate_floor_.load(std::memory_order_acquire);
+  }
+
+  /// Number of classes removed so far (RemoveClass). Everything else
+  /// only adds classes, so a consumer that saw the same count knows the
+  /// classes it indexed all still exist. Lock-free (atomic).
+  uint64_t removal_count() const {
+    return removals_.load(std::memory_order_acquire);
   }
 
   // --- Construction -----------------------------------------------------
@@ -149,6 +157,9 @@ class SchemaGraph {
 
   /// All classes, in id order.
   std::vector<ClassId> AllClasses() const;
+
+  /// The classes whose id is `first` or above, in id order.
+  std::vector<ClassId> ClassesFrom(ClassId first) const;
 
   /// Virtual classes directly derived from `cls` (the inverse of the
   /// derivation's source relationship; Section 3.4).
@@ -247,6 +258,8 @@ class SchemaGraph {
   /// overwritten, and are erased only under graph_mu_ exclusive
   /// (AddRefineClass, AddLocalProperty, RenameProperty, RemoveClass).
   Result<const TypeSet*> TypeRefLocked(ClassId cls) const;
+  /// True when both classes exist. Requires graph_mu_ held.
+  bool BothPresentLocked(ClassId a, ClassId b) const;
   bool ExtentSubsumedByLocked(ClassId a, ClassId b) const;
   bool ExtentEquivalentLocked(ClassId a, ClassId b) const {
     return ExtentSubsumedByLocked(a, b) && ExtentSubsumedByLocked(b, a);
@@ -282,11 +295,17 @@ class SchemaGraph {
   /// exclusive.
   void BumpClassVersion(ClassId cls);
 
+  /// Moves the invalidate floor to a new generation (changes that can
+  /// shift name resolution on existing classes). Requires graph_mu_
+  /// exclusive.
+  void BumpFloorAndGeneration();
+
   IdAllocator<ClassId> class_alloc_;
   IdAllocator<PropertyDefId> prop_alloc_;
   ClassId root_;
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> invalidate_floor_{0};
+  std::atomic<uint64_t> removals_{0};
   /// Guards every structural member below (classes_, props_, by_name_,
   /// derived_index_, classes_by_op_, class_versions_). Readers shared,
   /// mutators exclusive; acquired *before* memo_mu_ everywhere.
@@ -299,9 +318,19 @@ class SchemaGraph {
   /// fills and invalidations take it exclusive. Nested strictly inside
   /// graph_mu_.
   mutable std::shared_mutex memo_mu_;
-  /// Top-level ExtentSubsumedBy memo; invalidated whenever the
-  /// derivation structure changes (class added/removed).
-  mutable std::map<std::pair<uint64_t, uint64_t>, bool> extent_cache_;
+  /// Hash of an ExtentSubsumedBy memo key: both full class ids.
+  struct ClassPairHash {
+    size_t operator()(const std::pair<uint64_t, uint64_t>& key) const {
+      return std::hash<uint64_t>{}(key.first * 0x9E3779B97F4A7C15ULL ^
+                                   key.second);
+    }
+  };
+  /// ExtentSubsumedBy memo, keyed by (a, b). Class additions keep it
+  /// (they cannot flip an existing answer); removals leave their entries
+  /// behind unreachable (see RemoveClassUnlocked).
+  mutable std::unordered_map<std::pair<uint64_t, uint64_t>, bool,
+                             ClassPairHash>
+      extent_cache_;
   /// EffectiveType memo; invalidated on structural changes, local
   /// property additions, refine-class finalization, and renames (all
   /// under graph_mu_ exclusive, which keeps TypeRefLocked's pointers

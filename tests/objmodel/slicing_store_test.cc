@@ -262,6 +262,49 @@ TEST(SlicingStoreTest, ChangeJournalSignalsTrimmedGap) {
   EXPECT_EQ(recs.size(), 10u);
 }
 
+TEST(SlicingStoreTest, ChangeJournalOffsetsIntoTrimmedWindow) {
+  // Past capacity the journal no longer starts at seq 1, so every cursor
+  // is an offset into a shifted window.
+  SlicingStore store;
+  Oid o = store.CreateObject();
+  for (size_t i = 0; i < SlicingStore::kJournalCapacity + 100; ++i) {
+    ASSERT_TRUE(
+        store.SetValue(o, kCar, kWheels, Value::Int(static_cast<int64_t>(i)))
+            .ok());
+  }
+  const uint64_t head = store.journal_head();
+  const uint64_t oldest = head - SlicingStore::kJournalCapacity + 1;
+  auto expect_contiguous = [&](uint64_t cursor,
+                               const std::vector<ChangeRecord>& recs) {
+    ASSERT_EQ(recs.size(), head - cursor);
+    for (size_t i = 0; i < recs.size(); ++i) {
+      EXPECT_EQ(recs[i].seq, cursor + 1 + i);
+    }
+  };
+
+  // A cursor in the middle of the window.
+  std::vector<ChangeRecord> recs;
+  const uint64_t middle = oldest + SlicingStore::kJournalCapacity / 2;
+  ASSERT_TRUE(store.ChangesSince(middle, &recs));
+  expect_contiguous(middle, recs);
+
+  // A cursor just before the oldest retained record: the whole window.
+  recs.clear();
+  ASSERT_TRUE(store.ChangesSince(oldest - 1, &recs));
+  expect_contiguous(oldest - 1, recs);
+  EXPECT_EQ(recs.size(), SlicingStore::kJournalCapacity);
+
+  // A cursor whose next record was trimmed.
+  recs.clear();
+  EXPECT_FALSE(store.ChangesSince(oldest - 2, &recs));
+  EXPECT_TRUE(recs.empty());
+
+  // A cursor that has caught up (or is ahead).
+  EXPECT_TRUE(store.ChangesSince(head, &recs));
+  EXPECT_TRUE(store.ChangesSince(head + 5, &recs));
+  EXPECT_TRUE(recs.empty());
+}
+
 // Randomized consistency: mirror slice/value operations against a model.
 TEST(SlicingStoreTest, RandomizedAgainstModel) {
   tse::Rng rng(77);
