@@ -1,10 +1,11 @@
 #include "algebra/extent_eval.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/str_util.h"
 #include "objmodel/method.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,6 +16,28 @@ using objmodel::ChangeRecord;
 using objmodel::Value;
 using schema::ClassNode;
 using schema::DerivationOp;
+
+namespace {
+
+// The batch arm's compare loop: keeps each member of `source` whose
+// column cell (`cell(oid)`; nullptr reads Null, like a missing slice
+// value) passes `pred`.
+template <typename Cell>
+Status CompareScan(const std::set<Oid>& source, const SimplePredicate& pred,
+                   Cell cell, std::set<Oid>* out) {
+  const Value null_value = Value::Null();
+  for (Oid oid : source) {
+    const Value* v = cell(oid);
+    TSE_ASSIGN_OR_RETURN(
+        Value verdict,
+        objmodel::CompareValues(pred.op, v ? *v : null_value, pred.literal));
+    TSE_ASSIGN_OR_RETURN(bool keep, verdict.AsBool());
+    if (keep) out->insert(out->end(), oid);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 bool ExtentEvaluator::IsSyncedLocked() const {
   if (!synced_once_) return false;
@@ -52,13 +75,14 @@ void ExtentEvaluator::Sync() const {
     synced_generation_ = generation;
     synced_once_ = true;
     // Per-entry invalidation: an entry survives schema growth unless its
-    // class vanished, its class version moved (redefinition or a new
-    // base class attached beneath it), or name resolution may have
-    // shifted under select predicates (invalidate floor).
+    // class version moved (redefinition, a new base class attached
+    // beneath it, or removal: a removed class reads version 0) or name
+    // resolution may have shifted under select predicates (invalidate
+    // floor).
     const uint64_t floor = schema_->invalidate_floor();
     for (auto it = cache_.begin(); it != cache_.end();) {
       const bool keep =
-          schema_->HasClass(it->first) && it->second.floor == floor &&
+          it->second.floor == floor &&
           it->second.class_version == schema_->class_version(it->first);
       if (keep) {
         ++it;
@@ -155,7 +179,7 @@ Status ExtentEvaluator::Propagate(std::deque<WorkItem>* work) const {
       for (ClassId dep : deps_.Dependents(cls)) work->emplace_back(dep, oid);
       continue;
     }
-    TSE_ASSIGN_OR_RETURN(bool now, ComputeMember(cls, oid));
+    TSE_ASSIGN_OR_RETURN(bool now, Member(cls, oid));
     const bool was = it->second.extent->count(oid) != 0;
     if (now == was) continue;  // prune: nothing downstream can change
     std::set<Oid>* extent = MutableSet(&it->second);
@@ -171,77 +195,58 @@ Status ExtentEvaluator::Propagate(std::deque<WorkItem>* work) const {
   return Status::OK();
 }
 
-Result<bool> ExtentEvaluator::ComputeMember(ClassId cls, Oid oid) const {
+Result<bool> ExtentEvaluator::Member(ClassId cls, Oid oid) const {
   TSE_ASSIGN_OR_RETURN(const ClassNode* node, schema_->GetClass(cls));
-  switch (node->derivation.op) {
-    case DerivationOp::kBase: {
+  const schema::Derivation& d = node->derivation;
+  auto in_source = [&](size_t i) -> Result<bool> {
+    auto hit = cache_.find(d.sources[i]);
+    if (hit != cache_.end()) return hit->second.extent->count(oid) != 0;
+    return Member(d.sources[i], oid);
+  };
+  switch (d.op) {
+    case DerivationOp::kBase:
       for (ClassId direct : store_->DirectClasses(oid)) {
         if (schema_->ExtentSubsumedBy(direct, cls)) return true;
       }
       return false;
-    }
     case DerivationOp::kSelect: {
-      TSE_ASSIGN_OR_RETURN(bool in_source,
-                           MemberNow(node->derivation.sources[0], oid));
-      if (!in_source) return false;
-      if (!node->derivation.predicate) {
-        return Status::FailedPrecondition("select class has no predicate");
-      }
-      TSE_ASSIGN_OR_RETURN(
-          Value verdict,
-          node->derivation.predicate->Evaluate(
-              oid, accessor_.ResolverFor(oid, node->derivation.sources[0])));
-      return verdict.AsBool();
+      TSE_ASSIGN_OR_RETURN(bool in_a, in_source(0));
+      if (!in_a) return false;
+      return accessor_.Satisfies(*d.predicate, oid, d.sources[0]);
     }
     case DerivationOp::kHide:
     case DerivationOp::kRefine:
-      return MemberNow(node->derivation.sources[0], oid);
+      return in_source(0);
     case DerivationOp::kUnion: {
-      TSE_ASSIGN_OR_RETURN(bool in_a,
-                           MemberNow(node->derivation.sources[0], oid));
+      TSE_ASSIGN_OR_RETURN(bool in_a, in_source(0));
       if (in_a) return true;
-      return MemberNow(node->derivation.sources[1], oid);
+      return in_source(1);
     }
     case DerivationOp::kIntersect: {
-      TSE_ASSIGN_OR_RETURN(bool in_a,
-                           MemberNow(node->derivation.sources[0], oid));
+      TSE_ASSIGN_OR_RETURN(bool in_a, in_source(0));
       if (!in_a) return false;
-      return MemberNow(node->derivation.sources[1], oid);
+      return in_source(1);
     }
     case DerivationOp::kDifference: {
-      TSE_ASSIGN_OR_RETURN(bool in_a,
-                           MemberNow(node->derivation.sources[0], oid));
+      TSE_ASSIGN_OR_RETURN(bool in_a, in_source(0));
       if (!in_a) return false;
-      TSE_ASSIGN_OR_RETURN(bool in_b,
-                           MemberNow(node->derivation.sources[1], oid));
+      TSE_ASSIGN_OR_RETURN(bool in_b, in_source(1));
       return !in_b;
     }
   }
   return Status::Internal("unknown derivation op");
 }
 
-Status ExtentEvaluator::ClassicSelect(const ClassNode* node,
-                                      const std::set<Oid>& source,
-                                      std::set<Oid>* out) const {
-  TSE_COUNT("algebra.plan.full_scan");
-  for (Oid oid : source) {
-    TSE_ASSIGN_OR_RETURN(
-        Value verdict,
-        node->derivation.predicate->Evaluate(
-            oid, accessor_.ResolverFor(oid, node->derivation.sources[0])));
-    TSE_ASSIGN_OR_RETURN(bool keep, verdict.AsBool());
-    if (keep) out->insert(oid);
-  }
-  return Status::OK();
-}
-
 Status ExtentEvaluator::EvalSelect(const ClassNode* node,
                                    const std::set<Oid>& source,
                                    std::set<Oid>* out) const {
   TSE_TRACE_SPAN("algebra.plan.select");
-  if (!node->derivation.predicate) {
-    return Status::FailedPrecondition("select class has no predicate");
-  }
+  auto classic = [&] {
+    TSE_COUNT("algebra.plan.full_scan");
+    return accessor_.Filter(*node->derivation.predicate,
+                            node->derivation.sources[0], source,
+                            std::nullopt, out);
+  };
   SelectPlanner planner(schema_, indexes_);
   const bool packed_source =
       layout_ != nullptr &&
@@ -262,7 +267,7 @@ Status ExtentEvaluator::EvalSelect(const ClassNode* node,
       if (!answered) {
         // Index vanished between planning and probing (concurrent
         // drop). Semantics are unchanged either way — scan instead.
-        return ClassicSelect(node, source, out);
+        return classic();
       }
       TSE_COUNT("algebra.plan.index_scan");
       for (Oid oid : candidates) {
@@ -278,30 +283,19 @@ Status ExtentEvaluator::EvalSelect(const ClassNode* node,
       // source extent are synced against the same journal head (both
       // under the data latch), so a missing row reads Null exactly like
       // a missing slice value below.
-      if (layout_ != nullptr && plan.pred) {
-        Status scan_status = Status::OK();
+      if (layout_ != nullptr) {
+        Status scan_status;
         const bool served = layout_->WithColumn(
             node->derivation.sources[0], plan.def->id,
             [&](const std::unordered_map<uint64_t, size_t>& row_of,
                 const std::vector<Value>& cells) {
-              const Value null_value = Value::Null();
-              for (Oid oid : source) {
-                auto it = row_of.find(oid.value());
-                const Value& v =
-                    it == row_of.end() ? null_value : cells[it->second];
-                auto verdict = objmodel::CompareValues(plan.pred->op, v,
-                                                       plan.pred->literal);
-                if (!verdict.ok()) {
-                  scan_status = verdict.status();
-                  return;
-                }
-                auto keep = verdict.value().AsBool();
-                if (!keep.ok()) {
-                  scan_status = keep.status();
-                  return;
-                }
-                if (keep.value()) out->insert(oid);
-              }
+              scan_status = CompareScan(
+                  source, *plan.pred,
+                  [&](Oid oid) -> const Value* {
+                    auto it = row_of.find(oid.value());
+                    return it == row_of.end() ? nullptr : &cells[it->second];
+                  },
+                  out);
             });
         if (served) return scan_status;
       }
@@ -319,20 +313,16 @@ Status ExtentEvaluator::EvalSelect(const ClassNode* node,
               column.emplace(conceptual.value(), &it->second);
             }
           });
-      const Value null_value = Value::Null();
-      for (Oid oid : source) {
-        auto it = column.find(oid.value());
-        const Value& v = it == column.end() ? null_value : *it->second;
-        TSE_ASSIGN_OR_RETURN(
-            Value verdict,
-            objmodel::CompareValues(plan.pred->op, v, plan.pred->literal));
-        TSE_ASSIGN_OR_RETURN(bool keep, verdict.AsBool());
-        if (keep) out->insert(oid);
-      }
-      return Status::OK();
+      return CompareScan(
+          source, *plan.pred,
+          [&](Oid oid) -> const Value* {
+            auto it = column.find(oid.value());
+            return it == column.end() ? nullptr : it->second;
+          },
+          out);
     }
     case PlanArm::kClassic:
-      return ClassicSelect(node, source, out);
+      return classic();
   }
   return Status::Internal("unknown plan arm");
 }
@@ -344,10 +334,9 @@ Result<SelectPlan> ExtentEvaluator::ExplainSelect(ClassId cls) const {
   if (node->derivation.op != DerivationOp::kSelect) {
     return Status::InvalidArgument("explain: class is not a select");
   }
-  std::set<ClassId> in_progress;
-  TSE_ASSIGN_OR_RETURN(std::shared_ptr<std::set<Oid>> source,
-                       EvalWithMemo(node->derivation.sources[0],
-                                    &in_progress));
+  TSE_ASSIGN_OR_RETURN(
+      const std::set<Oid>* source,
+      Eval(node->derivation.sources[0], std::nullopt, nullptr));
   SelectPlanner planner(schema_, indexes_);
   return planner.Plan(node->derivation.sources[0],
                       node->derivation.predicate.get(), source->size(),
@@ -364,13 +353,6 @@ void ExtentEvaluator::Invalidate(ClassId cls) const {
 void ExtentEvaluator::InvalidateAll() const {
   std::unique_lock<std::shared_mutex> lock(mu_);
   DropAll();
-}
-
-Result<bool> ExtentEvaluator::MemberNow(ClassId cls, Oid oid) const {
-  auto it = cache_.find(cls);
-  if (it != cache_.end()) return it->second.extent->count(oid) != 0;
-  std::set<ClassId> in_progress;
-  return IsMemberImpl(oid, cls, &in_progress);
 }
 
 void ExtentEvaluator::DropEntryAndDependents(ClassId cls) const {
@@ -406,35 +388,40 @@ std::set<Oid>* ExtentEvaluator::MutableSet(Entry* entry) const {
 }
 
 template <typename Fn>
-auto ExtentEvaluator::WithExtent(ClassId cls, Fn fn) const
-    -> Result<decltype(fn(ExtentPtr()))> {
+auto ExtentEvaluator::Synced(Fn fn) const ->
+    typename std::invoke_result_t<Fn, bool>::value_type {
   {
-    // Fast path: fully synced cache hit under the shared lock — the
+    // Fast path: a fully synced cache serves under the shared lock — the
     // steady state for concurrent session reads.
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (IsSyncedLocked()) {
-      auto hit = cache_.find(cls);
-      if (hit != cache_.end()) {
-        stats_.hits.fetch_add(1, std::memory_order_relaxed);
-        TSE_COUNT("algebra.extent.cache_hits");
-        return fn(ExtentPtr(hit->second.extent));
-      }
+      auto served = fn(/*exclusive=*/false);
+      if (served) return *std::move(served);
     }
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   Sync();
-  auto hit = cache_.find(cls);
-  if (hit != cache_.end()) {
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    TSE_COUNT("algebra.extent.cache_hits");
-    return fn(ExtentPtr(hit->second.extent));
-  }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  TSE_COUNT("algebra.extent.cache_misses");
-  std::set<ClassId> in_progress;
-  TSE_ASSIGN_OR_RETURN(std::shared_ptr<std::set<Oid>> out,
-                       EvalWithMemo(cls, &in_progress));
-  return fn(ExtentPtr(std::move(out)));
+  return *fn(/*exclusive=*/true);
+}
+
+template <typename Fn>
+auto ExtentEvaluator::WithExtent(ClassId cls, Fn fn) const
+    -> Result<decltype(fn(ExtentPtr()))> {
+  using R = Result<decltype(fn(ExtentPtr()))>;
+  return Synced([&](bool exclusive) -> std::optional<R> {
+    auto hit = cache_.find(cls);
+    if (hit != cache_.end()) {
+      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      TSE_COUNT("algebra.extent.cache_hits");
+      return R(fn(ExtentPtr(hit->second.extent)));
+    }
+    if (!exclusive) return std::nullopt;  // a fill writes cache_
+    stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    TSE_COUNT("algebra.extent.cache_misses");
+    auto filled = Eval(cls, std::nullopt, nullptr);
+    if (!filled.ok()) return R(filled.status());
+    return R(fn(ExtentPtr(cache_.at(cls).extent)));
+  });
 }
 
 Result<ExtentEvaluator::ExtentPtr> ExtentEvaluator::Extent(
@@ -449,33 +436,19 @@ Result<std::vector<Oid>> ExtentEvaluator::ExtentVector(ClassId cls) const {
 }
 
 Result<bool> ExtentEvaluator::IsMember(Oid oid, ClassId cls) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (IsSyncedLocked()) {
-      auto hit = cache_.find(cls);
-      if (hit != cache_.end()) {
-        stats_.hits.fetch_add(1, std::memory_order_relaxed);
-        TSE_COUNT("algebra.extent.cache_hits");
-        return hit->second.extent->count(oid) != 0;
-      }
-      // Deliberately not a cache fill: the per-oid walk is the designed
-      // cheap path for membership probes against unmaterialized
-      // classes. It only reads the schema and store, both stable under
-      // the embedding layer's latches, so the shared lock suffices.
-      std::set<ClassId> in_progress;
-      return IsMemberImpl(oid, cls, &in_progress);
+  return Synced([&](bool) -> std::optional<Result<bool>> {
+    auto hit = cache_.find(cls);
+    if (hit != cache_.end()) {
+      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      TSE_COUNT("algebra.extent.cache_hits");
+      return Result<bool>(hit->second.extent->count(oid) != 0);
     }
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Sync();
-  auto hit = cache_.find(cls);
-  if (hit != cache_.end()) {
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    TSE_COUNT("algebra.extent.cache_hits");
-    return hit->second.extent->count(oid) != 0;
-  }
-  std::set<ClassId> in_progress;
-  return IsMemberImpl(oid, cls, &in_progress);
+    // Deliberately not a cache fill: the per-oid walk is the designed
+    // cheap path for membership probes against unmaterialized classes.
+    // It only reads the schema, the store and cache_, and writers to
+    // cache_ hold the lock exclusive, so the shared lock suffices.
+    return Member(cls, oid);
+  });
 }
 
 ExtentEvaluator::CacheStats ExtentEvaluator::stats() const {
@@ -502,248 +475,81 @@ void ExtentEvaluator::ResetStats() {
   stats_.delta_eval_errors.store(0, std::memory_order_relaxed);
 }
 
-Result<bool> ExtentEvaluator::IsMemberImpl(
-    Oid oid, ClassId cls, std::set<ClassId>* in_progress) const {
-  if (!in_progress->insert(cls).second) {
-    return Status::FailedPrecondition("cyclic derivation in member test");
-  }
-  TSE_ASSIGN_OR_RETURN(const ClassNode* node, schema_->GetClass(cls));
-  Result<bool> result = false;
-  switch (node->derivation.op) {
-    case DerivationOp::kBase: {
-      bool member = false;
-      for (ClassId direct : store_->DirectClasses(oid)) {
-        if (schema_->ExtentSubsumedBy(direct, cls)) {
-          member = true;
-          break;
-        }
-      }
-      result = member;
-      break;
-    }
-    case DerivationOp::kSelect: {
-      result = IsMemberImpl(oid, node->derivation.sources[0], in_progress);
-      if (result.ok() && result.value()) {
-        auto verdict = node->derivation.predicate->Evaluate(
-            oid, accessor_.ResolverFor(oid, node->derivation.sources[0]));
-        if (!verdict.ok()) {
-          result = verdict.status();
-        } else {
-          result = verdict.value().AsBool();
-        }
-      }
-      break;
-    }
-    case DerivationOp::kHide:
-    case DerivationOp::kRefine:
-      result = IsMemberImpl(oid, node->derivation.sources[0], in_progress);
-      break;
-    case DerivationOp::kUnion: {
-      result = IsMemberImpl(oid, node->derivation.sources[0], in_progress);
-      if (result.ok() && !result.value()) {
-        result = IsMemberImpl(oid, node->derivation.sources[1], in_progress);
-      }
-      break;
-    }
-    case DerivationOp::kIntersect: {
-      result = IsMemberImpl(oid, node->derivation.sources[0], in_progress);
-      if (result.ok() && result.value()) {
-        result = IsMemberImpl(oid, node->derivation.sources[1], in_progress);
-      }
-      break;
-    }
-    case DerivationOp::kDifference: {
-      result = IsMemberImpl(oid, node->derivation.sources[0], in_progress);
-      if (result.ok() && result.value()) {
-        auto in_second =
-            IsMemberImpl(oid, node->derivation.sources[1], in_progress);
-        if (!in_second.ok()) {
-          result = in_second.status();
-        } else {
-          result = !in_second.value();
-        }
-      }
-      break;
-    }
-  }
-  in_progress->erase(cls);
-  return result;
-}
-
 Result<std::set<Oid>> ExtentEvaluator::ExtentAt(ClassId cls,
                                                 uint64_t epoch) const {
-  std::map<ClassId, std::set<Oid>> memo;
-  std::set<ClassId> in_progress;
-  TSE_ASSIGN_OR_RETURN(const std::set<Oid>* extent,
-                       ExtentAtImpl(cls, epoch, &memo, &in_progress));
-  return *extent;
+  std::map<ClassId, std::set<Oid>> pinned;
+  TSE_RETURN_IF_ERROR(Eval(cls, epoch, &pinned).status());
+  return std::move(pinned.at(cls));
 }
 
-Result<const std::set<Oid>*> ExtentEvaluator::ExtentAtImpl(
-    ClassId cls, uint64_t epoch, std::map<ClassId, std::set<Oid>>* memo,
-    std::set<ClassId>* in_progress) const {
-  auto hit = memo->find(cls);
-  if (hit != memo->end()) return &hit->second;
-  if (!in_progress->insert(cls).second) {
-    return Status::FailedPrecondition("cyclic derivation in extent eval");
+Result<const std::set<Oid>*> ExtentEvaluator::Eval(
+    ClassId cls, ReadPoint at,
+    std::map<ClassId, std::set<Oid>>* pinned) const {
+  if (at) {
+    auto hit = pinned->find(cls);
+    if (hit != pinned->end()) return &hit->second;
+  } else {
+    auto hit = cache_.find(cls);
+    if (hit != cache_.end()) return hit->second.extent.get();
   }
   TSE_ASSIGN_OR_RETURN(const ClassNode* node, schema_->GetClass(cls));
+  const schema::Derivation& d = node->derivation;
+  const std::set<Oid>* a = nullptr;
+  const std::set<Oid>* b = nullptr;
+  if (!d.sources.empty()) {
+    TSE_ASSIGN_OR_RETURN(a, Eval(d.sources[0], at, pinned));
+  }
+  if (d.sources.size() > 1) {
+    TSE_ASSIGN_OR_RETURN(b, Eval(d.sources[1], at, pinned));
+  }
+  // Every memo entry owns its set (hide/refine copy their source) so
+  // delta application can patch each level in place, O(log n) per
+  // changed oid.
   std::set<Oid> out;
-  switch (node->derivation.op) {
-    case DerivationOp::kBase: {
-      for (ClassId other : schema_->AllClasses()) {
-        auto other_node = schema_->GetClass(other);
-        if (!other_node.ok() || !other_node.value()->is_base()) continue;
-        if (!schema_->ExtentSubsumedBy(other, cls)) continue;
-        std::set<Oid> direct = store_->DirectExtentAt(other, epoch);
-        out.insert(direct.begin(), direct.end());
-      }
-      break;
-    }
-    case DerivationOp::kSelect: {
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* source,
-          ExtentAtImpl(node->derivation.sources[0], epoch, memo, in_progress));
-      if (!node->derivation.predicate) {
-        return Status::FailedPrecondition(
-            StrCat("select class ", cls.ToString(), " has no predicate"));
-      }
-      for (Oid oid : *source) {
-        TSE_ASSIGN_OR_RETURN(
-            Value v, node->derivation.predicate->Evaluate(
-                         oid, accessor_.ResolverAt(
-                                  oid, node->derivation.sources[0], epoch)));
-        TSE_ASSIGN_OR_RETURN(bool keep, v.AsBool());
-        if (keep) out.insert(oid);
-      }
-      break;
-    }
-    case DerivationOp::kHide:
-    case DerivationOp::kRefine: {
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* source,
-          ExtentAtImpl(node->derivation.sources[0], epoch, memo, in_progress));
-      out = *source;
-      break;
-    }
-    case DerivationOp::kUnion: {
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* a,
-          ExtentAtImpl(node->derivation.sources[0], epoch, memo, in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* b,
-          ExtentAtImpl(node->derivation.sources[1], epoch, memo, in_progress));
-      out = *a;
-      out.insert(b->begin(), b->end());
-      break;
-    }
-    case DerivationOp::kIntersect: {
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* a,
-          ExtentAtImpl(node->derivation.sources[0], epoch, memo, in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* b,
-          ExtentAtImpl(node->derivation.sources[1], epoch, memo, in_progress));
-      std::set_intersection(a->begin(), a->end(), b->begin(), b->end(),
-                            std::inserter(out, out.begin()));
-      break;
-    }
-    case DerivationOp::kDifference: {
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* a,
-          ExtentAtImpl(node->derivation.sources[0], epoch, memo, in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          const std::set<Oid>* b,
-          ExtentAtImpl(node->derivation.sources[1], epoch, memo, in_progress));
-      std::set_difference(a->begin(), a->end(), b->begin(), b->end(),
-                          std::inserter(out, out.begin()));
-      break;
-    }
-  }
-  in_progress->erase(cls);
-  auto [it, _] = memo->emplace(cls, std::move(out));
-  return &it->second;
-}
-
-Result<std::shared_ptr<std::set<Oid>>> ExtentEvaluator::EvalWithMemo(
-    ClassId cls, std::set<ClassId>* in_progress) const {
-  auto hit = cache_.find(cls);
-  if (hit != cache_.end()) return hit->second.extent;
-  if (!in_progress->insert(cls).second) {
-    return Status::FailedPrecondition("cyclic derivation in extent eval");
-  }
-  TSE_ASSIGN_OR_RETURN(const ClassNode* node, schema_->GetClass(cls));
-  // Every entry owns its set (hide/refine copy their source) so delta
-  // application can patch each level in place, O(log n) per changed oid.
-  auto out = std::make_shared<std::set<Oid>>();
-  switch (node->derivation.op) {
-    case DerivationOp::kBase: {
+  switch (d.op) {
+    case DerivationOp::kBase:
       // Union of direct extents of all base classes subsumed by cls.
       for (ClassId other : schema_->AllClasses()) {
         auto other_node = schema_->GetClass(other);
         if (!other_node.ok() || !other_node.value()->is_base()) continue;
         if (!schema_->ExtentSubsumedBy(other, cls)) continue;
-        const std::set<Oid>& direct = store_->DirectExtent(other);
-        out->insert(direct.begin(), direct.end());
+        if (at) {
+          const std::set<Oid> direct = store_->DirectExtentAt(other, *at);
+          out.insert(direct.begin(), direct.end());
+        } else {
+          const std::set<Oid>& direct = store_->DirectExtent(other);
+          out.insert(direct.begin(), direct.end());
+        }
       }
       break;
-    }
-    case DerivationOp::kSelect: {
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> source,
-          EvalWithMemo(node->derivation.sources[0], in_progress));
-      TSE_RETURN_IF_ERROR(EvalSelect(node, *source, out.get()));
+    case DerivationOp::kSelect:
+      TSE_RETURN_IF_ERROR(
+          at ? accessor_.Filter(*d.predicate, d.sources[0], *a, at, &out)
+             : EvalSelect(node, *a, &out));
       break;
-    }
     case DerivationOp::kHide:
-    case DerivationOp::kRefine: {
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> source,
-          EvalWithMemo(node->derivation.sources[0], in_progress));
-      *out = *source;
+    case DerivationOp::kRefine:
+      out = *a;
       break;
-    }
-    case DerivationOp::kUnion: {
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> a,
-          EvalWithMemo(node->derivation.sources[0], in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> b,
-          EvalWithMemo(node->derivation.sources[1], in_progress));
-      *out = *a;
-      out->insert(b->begin(), b->end());
+    case DerivationOp::kUnion:
+      std::set_union(a->begin(), a->end(), b->begin(), b->end(),
+                     std::inserter(out, out.end()));
       break;
-    }
-    case DerivationOp::kIntersect: {
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> a,
-          EvalWithMemo(node->derivation.sources[0], in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> b,
-          EvalWithMemo(node->derivation.sources[1], in_progress));
+    case DerivationOp::kIntersect:
       std::set_intersection(a->begin(), a->end(), b->begin(), b->end(),
-                            std::inserter(*out, out->begin()));
+                            std::inserter(out, out.end()));
       break;
-    }
-    case DerivationOp::kDifference: {
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> a,
-          EvalWithMemo(node->derivation.sources[0], in_progress));
-      TSE_ASSIGN_OR_RETURN(
-          std::shared_ptr<std::set<Oid>> b,
-          EvalWithMemo(node->derivation.sources[1], in_progress));
+    case DerivationOp::kDifference:
       std::set_difference(a->begin(), a->end(), b->begin(), b->end(),
-                          std::inserter(*out, out->begin()));
+                          std::inserter(out, out.end()));
       break;
-    }
   }
-  in_progress->erase(cls);
-  Entry entry;
-  entry.extent = out;
+  if (at) return &pinned->emplace(cls, std::move(out)).first->second;
+  Entry& entry = cache_[cls];
+  entry.extent = std::make_shared<std::set<Oid>>(std::move(out));
   entry.class_version = schema_->class_version(cls);
   entry.floor = schema_->invalidate_floor();
-  cache_[cls] = std::move(entry);
-  return out;
+  return entry.extent.get();
 }
 
 }  // namespace tse::algebra

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,13 +22,15 @@
 
 namespace tse::algebra {
 
-/// Computes class extents over the live database.
+/// Computes class extents, live or as of a snapshot's data epoch.
 ///
 /// Base class extents are the union of the direct extents of every base
 /// class provably subsumed by it (objects record direct memberships on
 /// base classes only — the update layer guarantees that invariant).
 /// Virtual class extents are evaluated from the defining algebra
-/// expression, exactly per the operator semantics of Section 3.2.
+/// expression, exactly per the operator semantics of Section 3.2, by one
+/// set-level interpreter (Eval) and one per-oid interpreter (Member);
+/// live and pinned reads differ only in the read point they pass down.
 ///
 /// Evaluated extents are cached and maintained *incrementally* — the
 /// "optimization strategies for update propagation" the paper defers to
@@ -44,8 +47,8 @@ namespace tse::algebra {
 ///     oid's membership from their (cached) sources as set deltas;
 ///   - propagation prunes wherever a class's membership did not
 ///     actually change, so untouched subtrees keep their extents;
-///   - schema growth rebuilds the dependency graph but only drops
-///     cache entries whose per-class version moved.
+///   - schema growth extends the dependency graph with the new classes
+///     and only drops cache entries whose per-class version moved.
 ///
 /// Cached extents are handed out as shared immutable snapshots; delta
 /// application copies-on-write when a snapshot is still referenced.
@@ -102,12 +105,12 @@ class ExtentEvaluator {
 
   /// The extent of `cls` as of data epoch `epoch`, derived fresh from
   /// the store's version chains (SlicingStore::DirectExtentAt /
-  /// GetValueAt). Purely const: it never touches the shared cache, the
-  /// journal cursor, or the planner — the index and packed-record arms
-  /// mirror *live* state and are ineligible at a pinned epoch, so
-  /// selects always take the classic per-oid arm with an epoch-bound
-  /// resolver. Safe under the embedding layer's shared latches; serves
-  /// tse::Snapshot reads.
+  /// GetValueAt) by the same interpreter as Extent(). Purely const: it
+  /// never touches the shared cache, the journal cursor, or the planner
+  /// — the index and packed-record arms mirror *live* state and are
+  /// ineligible at a pinned epoch, so selects always take the classic
+  /// per-oid arm with an epoch-bound resolver. Safe under the embedding
+  /// layer's shared latches; serves tse::Snapshot reads.
   Result<std::set<Oid>> ExtentAt(ClassId cls, uint64_t epoch) const;
 
   /// Toggles incremental maintenance. When off, the evaluator reverts
@@ -208,36 +211,44 @@ class ExtentEvaluator {
   void Sync() const;
   Status ApplyRecord(const objmodel::ChangeRecord& rec) const;
   Status Propagate(std::deque<WorkItem>* work) const;
-  /// Recomputes `oid`'s membership in `cls` from the cached sources.
-  Result<bool> ComputeMember(ClassId cls, Oid oid) const;
-  /// Cached-set lookup when materialized, per-oid derivation walk when
-  /// not.
-  Result<bool> MemberNow(ClassId cls, Oid oid) const;
   /// Drops `cls`'s entry and every cached transitive dependent.
   void DropEntryAndDependents(ClassId cls) const;
   void DropAll() const;
   std::set<Oid>* MutableSet(Entry* entry) const;
+  /// Runs `fn` on a synced cache: under the shared lock when the cache
+  /// is already synced, else under the exclusive lock after Sync().
+  /// `fn(exclusive)` returns its answer, or std::nullopt under the
+  /// shared lock to ask for the exclusive one.
+  template <typename Fn>
+  auto Synced(Fn fn) const ->
+      typename std::invoke_result_t<Fn, bool>::value_type;
   /// Extent/ExtentVector body: runs `fn` on the (synced) cached extent
   /// with the cache lock still held.
   template <typename Fn>
   auto WithExtent(ClassId cls, Fn fn) const
       -> Result<decltype(fn(ExtentPtr()))>;
 
+  /// The set-level interpreter: the extent of `cls` at read point `at`,
+  /// memoized per derivation node. Live reads memoize into cache_
+  /// (stamped entries; requires the exclusive lock) and select through
+  /// the planner; pinned reads memoize into the call-local `pinned` map,
+  /// never reading or filling cache_, and select with an epoch-bound
+  /// resolver. The pointer stays valid until its memo entry is dropped.
+  /// No cycle guard: a derivation's sources exist before it (see
+  /// SchemaGraph::ValidateDerivation) and never change afterwards.
+  Result<const std::set<Oid>*> Eval(
+      ClassId cls, ReadPoint at,
+      std::map<ClassId, std::set<Oid>>* pinned) const;
+  /// The per-oid interpreter: `oid`'s live membership in `cls`
+  /// recomputed from its derivation, reading each source's cached set
+  /// when materialized and walking the source's derivation when not.
+  /// Never consults `cls`'s own entry (delta propagation recomputes it).
+  /// Requires at least the shared lock on a synced cache.
+  Result<bool> Member(ClassId cls, Oid oid) const;
   /// Fills `out` with the select's members over `source`, dispatching
   /// on the planner's chosen arm. Requires the exclusive lock.
   Status EvalSelect(const schema::ClassNode* node,
                     const std::set<Oid>& source, std::set<Oid>* out) const;
-  /// The pre-planner per-oid loop (classic arm).
-  Status ClassicSelect(const schema::ClassNode* node,
-                       const std::set<Oid>& source, std::set<Oid>* out) const;
-
-  Result<bool> IsMemberImpl(Oid oid, ClassId cls,
-                            std::set<ClassId>* in_progress) const;
-  Result<const std::set<Oid>*> ExtentAtImpl(
-      ClassId cls, uint64_t epoch, std::map<ClassId, std::set<Oid>>* memo,
-      std::set<ClassId>* in_progress) const;
-  Result<std::shared_ptr<std::set<Oid>>> EvalWithMemo(
-      ClassId cls, std::set<ClassId>* in_progress) const;
 
   const schema::SchemaGraph* schema_;
   objmodel::SlicingStore* store_;

@@ -7,7 +7,8 @@ namespace tse::algebra {
 using objmodel::Value;
 
 Result<Value> ObjectAccessor::Read(Oid oid, ClassId cls,
-                                   const std::string& name) const {
+                                   const std::string& name,
+                                   ReadPoint at) const {
   // Dotted paths navigate Ref attributes hop by hop.
   size_t dot = name.find('.');
   if (dot != std::string::npos) {
@@ -21,10 +22,10 @@ Result<Value> ObjectAccessor::Read(Oid oid, ClassId cls,
           StrCat("'", head, "' is not a reference attribute; cannot "
                  "navigate '.", tail, "'"));
     }
-    TSE_ASSIGN_OR_RETURN(Value ref, Read(oid, cls, head));
+    TSE_ASSIGN_OR_RETURN(Value ref, Read(oid, cls, head, at));
     if (ref.is_null()) return Value::Null();  // broken/unset link
     TSE_ASSIGN_OR_RETURN(Oid target, ref.AsRef());
-    return Read(target, def->ref_target, tail);
+    return Read(target, def->ref_target, tail, at);
   }
 
   TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
@@ -34,13 +35,9 @@ Result<Value> ObjectAccessor::Read(Oid oid, ClassId cls,
       return Status::FailedPrecondition(
           StrCat("method '", name, "' has no body"));
     }
-    return def->body->Evaluate(oid, ResolverFor(oid, cls));
+    return def->body->Evaluate(oid, ResolverFor(oid, cls, at));
   }
-  if (layout_ != nullptr) {
-    Value packed;
-    if (layout_->TryGetPacked(oid, *def, &packed)) return packed;
-  }
-  return store_->GetValue(oid, def->definer, def->id);
+  return ReadStored(oid, *def, at);
 }
 
 Result<Value> ObjectAccessor::ReadDynamic(Oid oid, ClassId cls,
@@ -79,51 +76,18 @@ Result<Value> ObjectAccessor::ReadDynamic(Oid oid, ClassId cls,
           return ReadDynamic(oid, best_holder, attr);
         });
   }
+  return ReadStored(oid, *best, std::nullopt);
+}
+
+Result<Value> ObjectAccessor::ReadStored(Oid oid,
+                                         const schema::PropertyDef& def,
+                                         ReadPoint at) const {
+  if (at) return store_->GetValueAt(oid, def.definer, def.id, *at);
   if (layout_ != nullptr) {
     Value packed;
-    if (layout_->TryGetPacked(oid, *best, &packed)) return packed;
+    if (layout_->TryGetPacked(oid, def, &packed)) return packed;
   }
-  return store_->GetValue(oid, best->definer, best->id);
-}
-
-Result<Value> ObjectAccessor::ReadAt(Oid oid, ClassId cls,
-                                     const std::string& name,
-                                     uint64_t epoch) const {
-  size_t dot = name.find('.');
-  if (dot != std::string::npos) {
-    std::string head = name.substr(0, dot);
-    std::string tail = name.substr(dot + 1);
-    TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
-                         schema_->ResolveProperty(cls, head));
-    if (def->value_type != objmodel::ValueType::kRef ||
-        !def->ref_target.valid()) {
-      return Status::InvalidArgument(
-          StrCat("'", head, "' is not a reference attribute; cannot "
-                 "navigate '.", tail, "'"));
-    }
-    TSE_ASSIGN_OR_RETURN(Value ref, ReadAt(oid, cls, head, epoch));
-    if (ref.is_null()) return Value::Null();  // broken/unset link
-    TSE_ASSIGN_OR_RETURN(Oid target, ref.AsRef());
-    return ReadAt(target, def->ref_target, tail, epoch);
-  }
-
-  TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
-                       schema_->ResolveProperty(cls, name));
-  if (def->is_method()) {
-    if (!def->body) {
-      return Status::FailedPrecondition(
-          StrCat("method '", name, "' has no body"));
-    }
-    return def->body->Evaluate(oid, ResolverAt(oid, cls, epoch));
-  }
-  return store_->GetValueAt(oid, def->definer, def->id, epoch);
-}
-
-objmodel::AttrResolver ObjectAccessor::ResolverAt(Oid oid, ClassId cls,
-                                                  uint64_t epoch) const {
-  return [this, oid, cls, epoch](const std::string& name) -> Result<Value> {
-    return ReadAt(oid, cls, name, epoch);
-  };
+  return store_->GetValue(oid, def.definer, def.id);
 }
 
 Status ObjectAccessor::Write(Oid oid, ClassId cls, const std::string& name,
@@ -137,11 +101,19 @@ Status ObjectAccessor::Write(Oid oid, ClassId cls, const std::string& name,
   return store_->SetValue(oid, def->definer, def->id, std::move(value));
 }
 
-objmodel::AttrResolver ObjectAccessor::ResolverFor(Oid oid,
-                                                   ClassId cls) const {
-  return [this, oid, cls](const std::string& name) -> Result<Value> {
-    return Read(oid, cls, name);
+objmodel::AttrResolver ObjectAccessor::ResolverFor(Oid oid, ClassId cls,
+                                                   ReadPoint at) const {
+  return [this, oid, cls, at](const std::string& name) -> Result<Value> {
+    return Read(oid, cls, name, at);
   };
+}
+
+Result<bool> ObjectAccessor::Satisfies(const objmodel::MethodExpr& pred,
+                                       Oid oid, ClassId cls,
+                                       ReadPoint at) const {
+  TSE_ASSIGN_OR_RETURN(Value verdict,
+                       pred.Evaluate(oid, ResolverFor(oid, cls, at)));
+  return verdict.AsBool();
 }
 
 }  // namespace tse::algebra

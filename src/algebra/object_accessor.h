@@ -1,6 +1,7 @@
 #ifndef TSE_ALGEBRA_OBJECT_ACCESSOR_H_
 #define TSE_ALGEBRA_OBJECT_ACCESSOR_H_
 
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -9,6 +10,12 @@
 #include "schema/schema_graph.h"
 
 namespace tse::algebra {
+
+/// Where a read looks: std::nullopt reads live state; a data epoch reads
+/// the store's version chains as of that epoch (tse::Snapshot). An
+/// optional rather than a sentinel epoch: ~0 is already
+/// SlicingStore::kPendingEpoch.
+using ReadPoint = std::optional<uint64_t>;
 
 /// Schema-aware attribute and method access on objects.
 ///
@@ -23,15 +30,20 @@ class ObjectAccessor {
                  objmodel::SlicingStore* store)
       : schema_(schema), store_(store) {}
 
-  /// Reads property `name` of `oid` in the context of `cls`. Methods are
-  /// evaluated; attributes are fetched from storage (Null when unset).
+  /// Reads property `name` of `oid` in the context of `cls` at read
+  /// point `at`. Methods are evaluated with attribute reads bound to the
+  /// same context and read point; attributes are fetched from storage
+  /// (Null when unset). Live reads probe the packed layout before the
+  /// slices; pinned reads come from the store's version chains
+  /// (SlicingStore::GetValueAt) and skip the packed layout, which
+  /// mirrors live state only.
   ///
   /// `name` may be a dotted path over Ref attributes ("advisor.name"):
   /// each prefix must resolve to a Ref-typed attribute whose declared
   /// target class provides the context for the next segment. A Null
   /// reference anywhere along the path reads as Null.
-  Result<objmodel::Value> Read(Oid oid, ClassId cls,
-                               const std::string& name) const;
+  Result<objmodel::Value> Read(Oid oid, ClassId cls, const std::string& name,
+                               ReadPoint at = std::nullopt) const;
 
   /// Resolves `name` (single segment) at `cls` on `oid`, following the
   /// object's own most specific definition when several classes the
@@ -45,19 +57,27 @@ class ObjectAccessor {
   Status Write(Oid oid, ClassId cls, const std::string& name,
                objmodel::Value value);
 
-  /// An AttrResolver bound to (oid, cls), for predicate/method bodies.
-  objmodel::AttrResolver ResolverFor(Oid oid, ClassId cls) const;
+  /// An AttrResolver bound to (oid, cls, at), for predicate/method
+  /// bodies.
+  objmodel::AttrResolver ResolverFor(Oid oid, ClassId cls,
+                                     ReadPoint at = std::nullopt) const;
 
-  /// Read() pinned at a data epoch: stored attributes come from the
-  /// store's version chains (SlicingStore::GetValueAt), method bodies
-  /// evaluate with epoch-bound attribute reads, and the packed layout is
-  /// skipped (it mirrors live state only). Serves tse::Snapshot reads.
-  Result<objmodel::Value> ReadAt(Oid oid, ClassId cls, const std::string& name,
-                                 uint64_t epoch) const;
+  /// `pred` evaluated on `oid` through `cls` at `at`, as a boolean.
+  Result<bool> Satisfies(const objmodel::MethodExpr& pred, Oid oid,
+                         ClassId cls, ReadPoint at = std::nullopt) const;
 
-  /// ResolverFor() pinned at a data epoch.
-  objmodel::AttrResolver ResolverAt(Oid oid, ClassId cls,
-                                    uint64_t epoch) const;
+  /// Appends every oid of `oids` that Satisfies() `pred` to `out` (a
+  /// std::set or std::vector), in `oids` order; stops at the first
+  /// evaluation error.
+  template <typename Oids, typename Out>
+  Status Filter(const objmodel::MethodExpr& pred, ClassId cls,
+                const Oids& oids, ReadPoint at, Out* out) const {
+    for (Oid oid : oids) {
+      TSE_ASSIGN_OR_RETURN(bool keep, Satisfies(pred, oid, cls, at));
+      if (keep) out->insert(out->end(), oid);
+    }
+    return Status::OK();
+  }
 
   const schema::SchemaGraph* schema() const { return schema_; }
   objmodel::SlicingStore* store() const { return store_; }
@@ -71,6 +91,10 @@ class ObjectAccessor {
   const layout::PackedRecordCache* layout() const { return layout_; }
 
  private:
+  /// The stored value of attribute `def` on `oid` at `at`.
+  Result<objmodel::Value> ReadStored(Oid oid, const schema::PropertyDef& def,
+                                     ReadPoint at) const;
+
   const schema::SchemaGraph* schema_;
   objmodel::SlicingStore* store_;
   const layout::PackedRecordCache* layout_ = nullptr;

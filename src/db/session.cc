@@ -203,13 +203,8 @@ Result<std::vector<Oid>> Session::Select(const std::string& class_name,
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
   std::vector<Oid> out;
-  const algebra::ObjectAccessor& accessor = db_->engine_->accessor();
-  for (Oid oid : extent) {
-    TSE_ASSIGN_OR_RETURN(objmodel::Value v,
-                         predicate->Evaluate(oid, accessor.ResolverFor(oid, cls)));
-    TSE_ASSIGN_OR_RETURN(bool keep, v.AsBool());
-    if (keep) out.push_back(oid);
-  }
+  TSE_RETURN_IF_ERROR(db_->engine_->accessor().Filter(
+      *predicate, cls, extent, std::nullopt, &out));
   return out;
 }
 

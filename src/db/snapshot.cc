@@ -32,7 +32,7 @@ Result<objmodel::Value> Snapshot::Get(Oid oid, const std::string& class_name,
   TSE_COUNT("db.snapshot.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-  return db_->engine_->accessor().ReadAt(oid, cls, path, epoch_);
+  return db_->engine_->accessor().Read(oid, cls, path, epoch_);
 }
 
 Result<std::vector<Oid>> Snapshot::Extent(const std::string& class_name) {
@@ -58,14 +58,8 @@ Result<std::vector<Oid>> Snapshot::Select(const std::string& class_name,
   TSE_ASSIGN_OR_RETURN(std::set<Oid> extent,
                        db_->extents_->ExtentAt(cls, epoch_));
   std::vector<Oid> out;
-  const algebra::ObjectAccessor& accessor = db_->engine_->accessor();
-  for (Oid oid : extent) {
-    TSE_ASSIGN_OR_RETURN(
-        objmodel::Value v,
-        predicate->Evaluate(oid, accessor.ResolverAt(oid, cls, epoch_)));
-    TSE_ASSIGN_OR_RETURN(bool keep, v.AsBool());
-    if (keep) out.push_back(oid);
-  }
+  TSE_RETURN_IF_ERROR(db_->engine_->accessor().Filter(*predicate, cls, extent,
+                                                      epoch_, &out));
   return out;
 }
 

@@ -449,7 +449,7 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
           TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
                                graph.GetProperty(defs[0]));
           if (!def->is_attribute()) continue;
-          auto value = accessor.ReadAt(oid, cls, name, epoch);
+          auto value = accessor.Read(oid, cls, name, epoch);
           out += StrCat(",", name, "=",
                         value.ok() ? value.value().ToString()
                                    : value.status().ToString());
@@ -481,7 +481,7 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
           TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
                                graph.GetProperty(defs[0]));
           if (!def->is_attribute()) continue;
-          auto via_snapshot = accessor.ReadAt(oid, cls, name, mvcc_epoch);
+          auto via_snapshot = accessor.Read(oid, cls, name, mvcc_epoch);
           auto via_locked = accessor.Read(oid, cls, name);
           if (via_snapshot.ok() != via_locked.ok()) {
             return Status::FailedPrecondition(StrCat(

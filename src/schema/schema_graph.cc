@@ -139,23 +139,7 @@ Result<ClassId> SchemaGraph::AddVirtualClassUnlocked(const std::string& name,
   if (derivation.op == DerivationOp::kBase) {
     return Status::InvalidArgument("virtual class needs a non-base derivation");
   }
-  size_t expected_sources =
-      (derivation.op == DerivationOp::kUnion ||
-       derivation.op == DerivationOp::kIntersect ||
-       derivation.op == DerivationOp::kDifference)
-          ? 2
-          : 1;
-  if (derivation.sources.size() != expected_sources) {
-    return Status::InvalidArgument(
-        StrCat(DerivationOpName(derivation.op), " expects ", expected_sources,
-               " source(s), got ", derivation.sources.size()));
-  }
-  for (ClassId src : derivation.sources) {
-    TSE_RETURN_IF_ERROR(GetClassUnlocked(src).status());
-  }
-  if (derivation.op == DerivationOp::kSelect && !derivation.predicate) {
-    return Status::InvalidArgument("select derivation needs a predicate");
-  }
+  TSE_RETURN_IF_ERROR(ValidateDerivation(derivation));
   ClassNode node;
   node.id = class_alloc_.Allocate();
   node.name = name;
@@ -173,6 +157,40 @@ Result<ClassId> SchemaGraph::AddVirtualClassUnlocked(const std::string& name,
   generation_.fetch_add(1, std::memory_order_acq_rel);
   BumpClassVersion(id);
   return id;
+}
+
+Status SchemaGraph::ValidateDerivation(const Derivation& derivation) const {
+  size_t expected_sources = 0;
+  switch (derivation.op) {
+    case DerivationOp::kBase:
+      break;
+    case DerivationOp::kSelect:
+    case DerivationOp::kHide:
+    case DerivationOp::kRefine:
+      expected_sources = 1;
+      break;
+    case DerivationOp::kUnion:
+    case DerivationOp::kIntersect:
+    case DerivationOp::kDifference:
+      expected_sources = 2;
+      break;
+    default:
+      return Status::InvalidArgument(
+          StrCat("unknown derivation op ",
+                 static_cast<unsigned>(derivation.op)));
+  }
+  if (derivation.sources.size() != expected_sources) {
+    return Status::InvalidArgument(
+        StrCat(DerivationOpName(derivation.op), " expects ", expected_sources,
+               " source(s), got ", derivation.sources.size()));
+  }
+  for (ClassId src : derivation.sources) {
+    TSE_RETURN_IF_ERROR(GetClassUnlocked(src).status());
+  }
+  if (derivation.op == DerivationOp::kSelect && !derivation.predicate) {
+    return Status::InvalidArgument("select derivation needs a predicate");
+  }
+  return Status::OK();
 }
 
 Result<PropertyDefId> SchemaGraph::DefineProperty(const PropertySpec& spec,
@@ -970,9 +988,7 @@ Status SchemaGraph::RestoreClass(ClassNode node) {
   if (by_name_.count(node.name)) {
     return Status::AlreadyExists(StrCat("class name ", node.name));
   }
-  for (ClassId src : node.derivation.sources) {
-    TSE_RETURN_IF_ERROR(GetClassUnlocked(src).status());
-  }
+  TSE_RETURN_IF_ERROR(ValidateDerivation(node.derivation));
   for (ClassId sup : node.supers) {
     TSE_RETURN_IF_ERROR(GetClassUnlocked(sup).status());
   }

@@ -79,7 +79,10 @@ class SchemaGraph {
   /// last (re)defined or had its extent-defining surroundings change (a
   /// new base class attached beneath it). Unrelated schema growth leaves
   /// it untouched, so extent caches keep entries for unaffected classes
-  /// across schema generations. Returns 0 for unknown classes.
+  /// across schema generations. Returns 0 for unknown and removed
+  /// classes; every class added after construction reads nonzero, and
+  /// ids are never reused, so a cached version that still matches
+  /// proves its class still exists.
   uint64_t class_version(ClassId cls) const;
 
   /// Generation of the last schema change that can shift property-name
@@ -220,7 +223,8 @@ class SchemaGraph {
 
   /// Reinstates a persisted class verbatim (id, derivation, edges; the
   /// inverse `subs` sets and derived index are rebuilt incrementally).
-  /// The graph must not already contain the id. Classes must be
+  /// The graph must not already contain the id, and the derivation must
+  /// pass the same shape checks as AddVirtualClass. Classes must be
   /// restored in id order so sources/supers resolve.
   Status RestoreClass(ClassNode node);
 
@@ -240,6 +244,13 @@ class SchemaGraph {
   Result<const PropertyDef*> GetPropertyUnlocked(PropertyDefId id) const;
   Result<ClassNode*> GetMutable(ClassId id);
   std::vector<ClassId> DerivedFromUnlocked(ClassId cls) const;
+  /// Rejects a derivation the evaluators cannot run: an op outside
+  /// DerivationOp, a source count that does not fit the op (none for
+  /// base, two for union/intersect/difference, one otherwise), a source
+  /// that does not exist yet, or a select without a predicate. Because
+  /// every source must exist first and sources never change afterwards,
+  /// the derivation graph stays acyclic.
+  Status ValidateDerivation(const Derivation& derivation) const;
 
   // Unlocked mutators backing the public ones (AddRefineClass composes
   // them under one exclusive section). Require graph_mu_ exclusive.

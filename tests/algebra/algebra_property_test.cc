@@ -214,17 +214,41 @@ TEST_P(AlgebraPropertyTest, ClassifierKeepsDagAcyclicAndConsistent) {
 }
 
 TEST_P(AlgebraPropertyTest, IsMemberAgreesWithExtent) {
+  AlgebraProcessor proc(&graph_);
   ExtentEvaluator eval(&graph_, &store_);
   for (int round = 0; round < 5; ++round) {
     ClassId cls = Pick();
-    std::set<Oid> extent = ExtentOf(cls);
-    store_.ForEachObject([&](Oid oid) {
-      auto member = eval.IsMember(oid, cls);
-      ASSERT_TRUE(member.ok());
-      EXPECT_EQ(member.value(), extent.count(oid) != 0)
-          << "object " << oid.ToString() << " class "
-          << graph_.GetClass(cls).value()->name;
-    });
+    ClassId other = Pick();
+    // A derived class over the pick, so membership is also asked of a
+    // class whose sources the warm evaluator below has materialized.
+    const std::string tag = std::to_string(round);
+    ClassId derived =
+        proc.DefineVC("M" + tag,
+                      Query::Difference(
+                          Query::Class(graph_.GetClass(cls).value()->name),
+                          Query::Class(graph_.GetClass(other).value()->name)))
+            .value();
+    ExtentEvaluator warm(&graph_, &store_);
+    ASSERT_TRUE(warm.Extent(cls).ok());
+    ASSERT_TRUE(warm.Extent(other).ok());
+    for (ClassId c : {cls, derived}) {
+      std::set<Oid> extent = ExtentOf(c);
+      const std::string name = graph_.GetClass(c).value()->name;
+      // No MVCC capture is armed on this store, so every epoch reads
+      // the current state.
+      auto at_epoch = eval.ExtentAt(c, /*epoch=*/0);
+      ASSERT_TRUE(at_epoch.ok()) << at_epoch.status().ToString();
+      EXPECT_EQ(at_epoch.value(), extent) << "class " << name;
+      store_.ForEachObject([&](Oid oid) {
+        for (const ExtentEvaluator* e : {&eval, &warm}) {
+          auto member = e->IsMember(oid, c);
+          ASSERT_TRUE(member.ok());
+          EXPECT_EQ(member.value(), extent.count(oid) != 0)
+              << "object " << oid.ToString() << " class " << name
+              << (e == &warm ? " (sources cached)" : " (cold walk)");
+        }
+      });
+    }
   }
 }
 

@@ -281,6 +281,11 @@ TEST_F(AlgebraTest, ExtentCacheInvalidatesOnMutationAndSchemaChange) {
   EXPECT_EQ(eval.Extent(d).value()->size(),
             eval.Extent(student_).value()->size() -
                 eval.Extent(honor).value()->size());
+  // Removing a class drops its cached extent: the next read reports the
+  // class gone instead of answering from the stale entry.
+  ASSERT_TRUE(graph_.RemoveClass(d).ok());
+  EXPECT_TRUE(eval.Extent(d).status().IsNotFound());
+  EXPECT_TRUE(eval.IsMember(s1_, d).status().IsNotFound());
 }
 
 TEST_F(AlgebraTest, QueryToStringRendersTree) {

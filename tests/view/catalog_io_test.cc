@@ -187,6 +187,70 @@ TEST_F(CatalogIoTest, ResaveDropsRemovedClasses) {
   EXPECT_TRUE(restored.FindClass("Base").ok());
 }
 
+// A class record in CatalogIO's layout for a class named `name` with
+// derivation op byte `op` over `sources`: no predicate, hidden names,
+// properties or edges.
+std::string CraftedClassRecord(const std::string& name, uint8_t op,
+                               const std::vector<ClassId>& sources) {
+  std::string out;
+  auto u32 = [&](uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), 4);
+  };
+  auto u64 = [&](uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), 8);
+  };
+  u32(static_cast<uint32_t>(name.size()));
+  out += name;
+  out.push_back(static_cast<char>(op));
+  u32(static_cast<uint32_t>(sources.size()));
+  for (ClassId src : sources) u64(src.value());
+  out.push_back(0);  // no predicate
+  for (int i = 0; i < 5; ++i) u32(0);  // hidden, added, local, declared, supers
+  u64(0);  // union create target
+  return out;
+}
+
+// Class records that decode but describe a derivation no evaluator can
+// run must fail the load, not restore a class that later reads past its
+// sources or dereferences a missing predicate.
+TEST_F(CatalogIoTest, LoadRejectsMalformedDerivations) {
+  struct Case {
+    const char* what;
+    uint8_t op;
+    size_t n_sources;
+  };
+  const Case cases[] = {
+      {"op byte out of range", 99, 1},
+      {"union with one source",
+       static_cast<uint8_t>(schema::DerivationOp::kUnion), 1},
+      {"select without predicate",
+       static_cast<uint8_t>(schema::DerivationOp::kSelect), 1},
+  };
+  int n = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto db = OpenDb(("bad" + std::to_string(n++)).c_str());
+    uint64_t crafted_id;
+    {
+      SchemaGraph schema;
+      ClassId base = schema.AddBaseClass("Base", {}, {}).value();
+      ViewManager views(&schema);
+      ASSERT_TRUE(CatalogIO::Save(schema, views, db.get()).ok());
+      crafted_id = schema.class_alloc_next();
+      ASSERT_TRUE(db->Put((uint64_t{1} << 56) | crafted_id,
+                          CraftedClassRecord(
+                              "Bad", c.op,
+                              std::vector<ClassId>(c.n_sources, base)))
+                      .ok());
+    }
+    SchemaGraph restored;
+    ViewManager views(&restored);
+    Status s = CatalogIO::Load(db.get(), &restored, &views);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_FALSE(restored.HasClass(ClassId(crafted_id)));
+  }
+}
+
 // End-to-end durability: catalog + objects survive a "crash" and the
 // reloaded stack continues evolving and answering queries.
 TEST_F(CatalogIoTest, FullDatabaseDurability) {
