@@ -51,8 +51,6 @@ Status Db::Bootstrap(DbOptions options) {
   txns_ =
       std::make_unique<update::TransactionManager>(engine_.get(), locks_.get());
   catalog_ = std::make_unique<db::VersionedCatalog>();
-  backfill_ =
-      std::make_unique<update::BackfillManager>(schema_.get(), store_.get());
 
   Status restored = Status::OK();
   if (!options_.data_dir.empty()) {
@@ -91,89 +89,35 @@ Status Db::Bootstrap(DbOptions options) {
       for (ClassId cls : pinned_layouts) {
         (void)layout_->Pin(cls);
       }
-      // Resume any backfill a previous run left unfinished: slice
-      // *absence* in the durable store is the pending marker, so a
-      // crash mid-backfill loses no work and repeats none persisted.
-      if (options_.online_schema_change) {
-        size_t pending = backfill_->RecoverPending(extents_.get());
-        if (pending > 0) TSE_COUNT_N("db.backfill.recovered", pending);
-      }
     }
   }
 
-  if (options_.online_schema_change && options_.background_backfill) {
-    migrator_ = std::thread([this] { MigratorLoop(); });
+  if (options_.vacuum_every != 0) {
+    heartbeat_ = std::thread([this] { HeartbeatLoop(); });
   }
   return restored;
 }
 
-Db::~Db() { StopMigrator(); }
+Db::~Db() { StopHeartbeat(); }
 
-void Db::StopMigrator() {
+void Db::StopHeartbeat() {
   {
     std::lock_guard<std::mutex> lock(bg_mu_);
     bg_stop_ = true;
   }
   bg_cv_.notify_all();
-  if (migrator_.joinable()) migrator_.join();
+  if (heartbeat_.joinable()) heartbeat_.join();
 }
 
-void Db::NotifyMigrator() {
-  if (!migrator_.joinable()) return;
-  // Briefly acquire bg_mu_ so a migrator between its predicate check
-  // and the wait cannot miss this wakeup.
-  { std::lock_guard<std::mutex> lock(bg_mu_); }
-  bg_cv_.notify_one();
-}
-
-void Db::MigratorLoop() {
+void Db::HeartbeatLoop() {
   std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!bg_stop_) {
-    // Timed wait doubles as the version-vacuum heartbeat: backfill work
-    // wakes the loop immediately, and otherwise it comes up for air to
-    // trim version chains behind the oldest live snapshot.
-    bg_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
-      return bg_stop_ || backfill_->pending_any();
-    });
-    if (!bg_stop_ && options_.vacuum_every != 0) {
-      lock.unlock();
-      (void)VacuumVersions();
-      lock.lock();
-    }
-    while (!bg_stop_ && backfill_->pending_any()) {
-      lock.unlock();
-      Result<size_t> step = BackfillStep(options_.backfill_batch);
-      (void)step;  // IO errors surface through counters / next Save
-      lock.lock();
-      // Low priority: yield the data latch between bounded passes.
-      if (backfill_->pending_any()) {
-        bg_cv_.wait_for(lock, options_.backfill_interval,
-                        [this] { return bg_stop_; });
-      }
-    }
+  while (!bg_cv_.wait_for(lock, std::chrono::milliseconds(100),
+                          [this] { return bg_stop_; })) {
+    // Trim version chains behind the oldest live snapshot.
+    lock.unlock();
+    (void)VacuumVersions();
+    lock.lock();
   }
-}
-
-Result<size_t> Db::BackfillStep(size_t budget) {
-  std::vector<Oid> touched;
-  size_t created = 0;
-  {
-    std::unique_lock<std::shared_mutex> data_lock(data_mu_);
-    created = backfill_->RunBudget(budget, &touched);
-    if (objects_db_ && options_.durable_updates) {
-      for (Oid oid : touched) {
-        TSE_RETURN_IF_ERROR(objmodel::PersistenceBridge::SaveObject(
-            *store_, oid, objects_db_.get()));
-      }
-    }
-  }
-  if (created > 0) {
-    TSE_COUNT("db.backfill.passes");
-    if (objects_db_ && options_.durable_updates) {
-      TSE_RETURN_IF_ERROR(committer_->CommitDurable());
-    }
-  }
-  return created;
 }
 
 Status Db::PersistCatalog() {
@@ -184,18 +128,10 @@ Status Db::PersistCatalog() {
                                &pins);
 }
 
-std::unique_lock<std::shared_mutex> Db::EagerDrainLock() {
-  if (options_.online_schema_change) {
-    return std::unique_lock<std::shared_mutex>(schema_mu_, std::defer_lock);
-  }
-  return std::unique_lock<std::shared_mutex>(schema_mu_);
-}
-
 Result<ClassId> Db::AddBaseClass(
     const std::string& name, const std::vector<ClassId>& supers,
     const std::vector<schema::PropertySpec>& props) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   TSE_ASSIGN_OR_RETURN(ClassId cls, schema_->AddBaseClass(name, supers, props));
   catalog_->BumpEpoch();
   TSE_COUNT("db.epoch.bumps");
@@ -206,7 +142,6 @@ Result<ClassId> Db::AddBaseClass(
 Result<ClassId> Db::DefineVirtualClass(const std::string& name,
                                        const algebra::Query::Ptr& query) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   TSE_ASSIGN_OR_RETURN(ClassId cls, algebra_->DefineVC(name, query));
   TSE_ASSIGN_OR_RETURN(classifier::ClassifyResult classified,
                        classifier_->Classify(cls));
@@ -219,7 +154,6 @@ Result<ClassId> Db::DefineVirtualClass(const std::string& name,
 Result<ViewId> Db::CreateView(const std::string& logical_name,
                               const std::vector<view::ViewClassSpec>& classes) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   TSE_ASSIGN_OR_RETURN(ViewId id, tse_->CreateView(logical_name, classes));
   TSE_ASSIGN_OR_RETURN(const view::ViewSchema* vs, views_->GetView(id));
   catalog_->Publish(id, vs);
@@ -231,7 +165,6 @@ Result<ViewId> Db::CreateView(const std::string& logical_name,
 Result<ViewId> Db::MergeViews(ViewId a, ViewId b,
                               const std::string& merged_logical_name) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   TSE_ASSIGN_OR_RETURN(ViewId id,
                        tse_->MergeVersions(a, b, merged_logical_name));
   TSE_ASSIGN_OR_RETURN(const view::ViewSchema* vs, views_->GetView(id));
@@ -253,7 +186,6 @@ Result<PropertyDefId> Db::CreateIndex(const std::string& class_name,
 Result<PropertyDefId> Db::CreateIndexOn(PropertyDefId def,
                                         index::IndexKind kind) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   {
     // The build scans the store: hold the data latch shared so no
     // session mutates underneath (readers keep running).
@@ -267,7 +199,6 @@ Result<PropertyDefId> Db::CreateIndexOn(PropertyDefId def,
 
 Status Db::DropIndex(PropertyDefId def) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   TSE_RETURN_IF_ERROR(indexes_->DropIndex(def));
   TSE_COUNT("db.index.drops");
   return PersistCatalog();
@@ -280,7 +211,6 @@ Result<ClassId> Db::PinLayout(const std::string& class_name) {
 
 Result<ClassId> Db::PinLayoutOn(ClassId cls) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   {
     // The build scans the store: hold the data latch shared so no
     // session mutates underneath (readers keep running).
@@ -294,7 +224,6 @@ Result<ClassId> Db::PinLayoutOn(ClassId cls) {
 Status Db::UnpinLayout(const std::string& class_name) {
   TSE_ASSIGN_OR_RETURN(ClassId cls, schema_->FindClass(class_name));
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  std::unique_lock<std::shared_mutex> drain = EagerDrainLock();
   {
     std::shared_lock<std::shared_mutex> data_lock(data_mu_);
     TSE_RETURN_IF_ERROR(layout_->Unpin(cls));

@@ -25,7 +25,6 @@
 #include "schema/schema_graph.h"
 #include "storage/lock_manager.h"
 #include "storage/record_store.h"
-#include "update/backfill.h"
 #include "update/transaction.h"
 #include "update/update_engine.h"
 #include "view/view_manager.h"
@@ -53,37 +52,16 @@ struct DbOptions {
   /// explicit Save()/Checkpoint() calls.
   bool durable_updates = true;
 
-  /// Online, non-blocking schema change (DESIGN.md §10): schema changes
-  /// publish through the versioned catalog without draining in-flight
-  /// session operations, and capacity-augmenting implementation objects
-  /// backfill lazily on first touch. Off = the eager path: the change
-  /// holds the schema latch exclusive (draining every session op) and
-  /// materializes the whole extent before returning — kept as the
-  /// differential oracle for the fuzzer's lazy-vs-eager mode.
-  bool online_schema_change = true;
-
-  /// With online_schema_change, run the low-priority background
-  /// migrator thread that drains remaining backfill in bounded-work
-  /// passes. Off = backfill happens only on first touch (or explicit
-  /// BackfillStep calls) — the deterministic setting used by tests.
-  bool background_backfill = true;
-
-  /// Objects materialized per background-migrator pass (the bounded
-  /// work budget; the data latch is held for one pass at most).
-  size_t backfill_batch = 64;
-
-  /// Idle time between background-migrator passes while work remains.
-  std::chrono::milliseconds backfill_interval{2};
-
   /// How long a transaction waits for a contended object lock before
   /// giving up with Aborted (timeout-based deadlock resolution).
   std::chrono::milliseconds lock_timeout{200};
 
   /// Write epochs between amortized in-line vacuum passes (version
-  /// chains are additionally vacuumed by the background migrator's
-  /// heartbeat and by explicit VacuumVersions() calls). 0 disables all
-  /// automatic vacuuming — chains then trim only on explicit calls,
-  /// which tests use to make reclamation deterministic.
+  /// chains are additionally vacuumed by a background heartbeat thread
+  /// and by explicit VacuumVersions() calls). 0 disables all automatic
+  /// vacuuming, the heartbeat thread included — chains then trim only
+  /// on explicit calls, which tests use to make reclamation
+  /// deterministic.
   uint64_t vacuum_every = 256;
 
   /// Shard identity when this store is one partition of a cluster
@@ -99,8 +77,8 @@ struct DbOptions {
 /// object): owns and wires the global schema graph, the slicing object
 /// store, the view manager + history, the TSEM, the update engine, a
 /// shared incremental extent evaluator, the transaction manager, the
-/// versioned catalog + backfill manager of the online schema-change
-/// path, and (when durable) the WAL/pager record stores.
+/// versioned catalog of the online schema-change path, and (when
+/// durable) the WAL/pager record stores.
 ///
 /// ## Concurrency model (DESIGN.md §8, §10)
 ///
@@ -110,24 +88,22 @@ struct DbOptions {
 ///     parallel: both hold `schema_mu_` shared; updates additionally
 ///     hold `data_mu_` exclusive while mutating the store (reads hold
 ///     it shared).
-///   - *Schema changes* are serialized by `ddl_mu_`. On the online path
-///     (the default) they hold **no** session-visible latch: the
-///     SchemaGraph and ViewManager are internally synchronized, the
-///     change only ever *adds* invisible classes, and the new view
-///     version becomes visible with the single atomic epoch flip of
-///     `VersionedCatalog::Publish`. In-flight sessions finish untouched
-///     on their pinned version; no session is ever aborted or even
-///     stalled by a schema change. With online_schema_change=false the
-///     change additionally takes `schema_mu_` exclusive — the historic
-///     stop-the-world drain, kept as the differential oracle.
-///   - Capacity-augmenting implementation objects materialize lazily:
-///     on first touch by read/update/extent paths, or from the
-///     background migrator's bounded passes (see update::BackfillManager).
+///   - *Schema changes* are serialized by `ddl_mu_` and hold **no**
+///     session-visible latch: the SchemaGraph and ViewManager are
+///     internally synchronized, the change only ever *adds* invisible
+///     classes, and the new view version becomes visible with the
+///     single atomic epoch flip of `VersionedCatalog::Publish`.
+///     In-flight sessions finish untouched on their pinned version; no
+///     session is ever aborted or even stalled by a schema change.
+///   - A schema change touches no object. A capacity-augmenting class's
+///     implementation object attaches when a value is first written
+///     through it (`SlicingStore::SetValue`); until then its attributes
+///     read Null.
 ///   - Durability waits (group-commit fsync) happen with no latch
 ///     held, so one session's fsync never blocks another's reads.
 ///
 /// Lock order: ddl_mu_ → schema_mu_ → data_mu_ → (component-internal
-/// locks, including the backfill manager's).
+/// locks).
 class Db {
  public:
   /// Opens a database. With options.data_dir set, restores persisted
@@ -252,22 +228,9 @@ class Db {
 
   /// Trims version-chain entries below the oldest live snapshot epoch.
   /// Runs automatically (amortized in the write path and from the
-  /// background migrator); exposed for deterministic tests. Returns the
+  /// background heartbeat); exposed for deterministic tests. Returns the
   /// number of version entries reclaimed.
   size_t VacuumVersions();
-
-  // --- Backfill ---------------------------------------------------------
-
-  /// Runs one bounded backfill pass (up to `budget` objects), persisting
-  /// the materialized slices when durable. Returns the number of slices
-  /// created. This is what the background migrator calls; tests call it
-  /// directly for deterministic draining.
-  Result<size_t> BackfillStep(size_t budget);
-
-  /// Objects still awaiting lazy materialization.
-  [[nodiscard]] size_t BackfillPending() const {
-    return backfill_->pending_count();
-  }
 
   // --- Durability -------------------------------------------------------
 
@@ -291,7 +254,6 @@ class Db {
   evolution::TseManager& tsem() { return *tse_; }
   update::UpdateEngine& engine() { return *engine_; }
   algebra::ExtentEvaluator& extents() { return *extents_; }
-  update::BackfillManager& backfill() { return *backfill_; }
   index::IndexManager& indexes() { return *indexes_; }
   layout::PackedRecordCache& layout() { return *layout_; }
 
@@ -331,15 +293,10 @@ class Db {
   /// readers).
   Status PersistCatalog();
 
-  /// Locked on the eager path (online_schema_change=false) to drain
-  /// every in-flight session op; deferred (no-op) on the online path.
-  std::unique_lock<std::shared_mutex> EagerDrainLock();
-
-  /// Wakes the background migrator after a schema change registered
-  /// backfill work.
-  void NotifyMigrator();
-  void StopMigrator();
-  void MigratorLoop();
+  /// The background heartbeat: a vacuum pass every 100 ms until
+  /// StopHeartbeat. Started by Bootstrap when vacuum_every != 0.
+  void HeartbeatLoop();
+  void StopHeartbeat();
 
   DbOptions options_;
   std::unique_ptr<schema::SchemaGraph> schema_;
@@ -355,7 +312,6 @@ class Db {
   std::unique_ptr<storage::LockManager> locks_;
   std::unique_ptr<update::TransactionManager> txns_;
   std::unique_ptr<db::VersionedCatalog> catalog_;
-  std::unique_ptr<update::BackfillManager> backfill_;
   std::unique_ptr<storage::RecordStore> objects_db_;  ///< null when in-memory
   std::unique_ptr<storage::RecordStore> catalog_db_;  ///< null when in-memory
   std::unique_ptr<db::GroupCommitter> committer_;
@@ -363,8 +319,8 @@ class Db {
   /// Serializes schema changes (and catalog persistence) against each
   /// other. Never touched by session read/update paths.
   std::mutex ddl_mu_;
-  /// Schema latch: session ops shared; *eager* schema changes exclusive
-  /// (online ones never take it).
+  /// Schema latch: session ops shared; Save/Checkpoint exclusive
+  /// (schema changes never take it).
   mutable std::shared_mutex schema_mu_;
   /// Data latch: object reads shared, object mutations exclusive.
   mutable std::shared_mutex data_mu_;
@@ -381,11 +337,12 @@ class Db {
   /// Epochs of live Snapshot handles (multiset: many per epoch).
   std::multiset<uint64_t> live_snapshots_;
 
-  /// Background migrator state.
-  std::thread migrator_;
+  /// Background heartbeat state (the thread is declared last: it uses
+  /// the members above).
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;
   bool bg_stop_ = false;
+  std::thread heartbeat_;
 };
 
 }  // namespace tse

@@ -143,16 +143,6 @@ Result<std::unique_ptr<SnapshotHandle>> Session::GetSnapshot() {
   return std::unique_ptr<SnapshotHandle>(std::move(snap));
 }
 
-void Session::TouchForRead(Oid oid) const {
-  // Lock-free fast path: one relaxed load when no backfill is in
-  // flight. Read-path materializations are deliberately not persisted —
-  // slice absence is the durable pending marker, and the background
-  // migrator (or the next durable write) catches up.
-  if (!db_->backfill_->pending_any()) return;
-  std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-  db_->backfill_->MaterializeObject(oid);
-}
-
 Status Session::LockForTxn(Oid oid, bool exclusive) {
   if (!in_transaction()) return Status::OK();
   return exclusive ? txn_->LockExclusive(oid) : txn_->LockShared(oid);
@@ -166,7 +156,6 @@ Result<objmodel::Value> Session::Get(Oid oid, const std::string& class_name,
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   TSE_COUNT("db.session.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-  TouchForRead(oid);
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
   if (in_transaction()) return txn_->Read(oid, cls, path);
   return db_->engine_->accessor().Read(oid, cls, path);
@@ -178,18 +167,8 @@ Result<std::vector<Oid>> Session::Extent(const std::string& class_name) {
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
   TSE_COUNT("db.session.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
-  std::vector<Oid> members;
-  {
-    std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    TSE_ASSIGN_OR_RETURN(members, db_->extents_->ExtentVector(cls));
-  }
-  // Extent-scan first touch: the caller is about to iterate these
-  // members, so make their pending slices real.
-  if (db_->backfill_->pending_any()) {
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    db_->backfill_->MaterializeMembers(members);
-  }
-  return members;
+  std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
+  return db_->extents_->ExtentVector(cls);
 }
 
 Result<std::vector<Oid>> Session::Select(const std::string& class_name,
@@ -252,12 +231,6 @@ Result<Oid> Session::Write(Oid oid, const std::string* class_name, Op op) {
       TSE_ASSIGN_OR_RETURN(cls, view_->Resolve(*class_name));
     }
     std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    // First touch materializes pending backfill slices (for Delete, it
-    // also clears them so the task table never references a destroyed
-    // object).
-    if (oid.valid() && db_->backfill_->pending_any()) {
-      db_->backfill_->MaterializeObject(oid);
-    }
     MvccWriteGuard mvcc(db_->store_.get(), &db_->visible_epoch_,
                         in_transaction() ? txn_->id().value() : 0);
     if (in_transaction()) {
@@ -413,8 +386,11 @@ Result<ViewId> Session::Apply(const evolution::SchemaChange& change) {
     return Status::FailedPrecondition(
         "cannot change the schema inside an open transaction");
   }
-  return db_->options_.online_schema_change ? ApplyOnline(change)
-                                            : ApplyEager(change);
+  std::lock_guard<std::mutex> ddl_lock(db_->ddl_mu_);
+  TSE_ASSIGN_OR_RETURN(PreparedSchemaChange prepared, PrepareLocked(change));
+  // One ddl_mu_ hold covers both phases, so concurrent Apply calls
+  // serialize and never see each other's epoch bumps as conflicts.
+  return FlipLocked(prepared, /*check_epoch=*/false);
 }
 
 Result<PreparedSchemaChange> Session::PrepareLocked(
@@ -425,10 +401,8 @@ Result<PreparedSchemaChange> Session::PrepareLocked(
   // operations keep running throughout.
   PreparedSchemaChange prepared;
   prepared.expected_epoch = db_->catalog_->head_epoch();
-  prepared.class_lo = db_->schema_->class_alloc_next();
   TSE_ASSIGN_OR_RETURN(prepared.new_view,
                        db_->tse_->ApplyChange(view_->id(), change));
-  prepared.class_hi = db_->schema_->class_alloc_next();
   TSE_ASSIGN_OR_RETURN(prepared.schema,
                        db_->views_->GetView(prepared.new_view));
   return prepared;
@@ -441,32 +415,14 @@ Result<ViewId> Session::FlipLocked(const PreparedSchemaChange& prepared,
     return Status::FailedPrecondition(
         "another schema change published since the prepare");
   }
-  {
-    // Register lazy backfill for any capacity-augmenting class the
-    // change created, from its extent as of now (shared data latch:
-    // reads only — materialization happens on first touch or in the
-    // background migrator).
-    std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    db_->backfill_->RegisterNewClasses(prepared.class_lo, prepared.class_hi,
-                                       db_->extents_.get());
-  }
   db_->catalog_->Publish(prepared.new_view,
                          prepared.schema);  // the atomic visibility flip
   view_ = prepared.schema;
   bound_epoch_ = db_->catalog_->head_epoch();
   TSE_COUNT("db.epoch.bumps");
   TSE_COUNT("db.session.schema_changes");
-  db_->NotifyMigrator();
   TSE_RETURN_IF_ERROR(db_->PersistCatalog());
   return prepared.new_view;
-}
-
-Result<ViewId> Session::ApplyOnline(const evolution::SchemaChange& change) {
-  std::lock_guard<std::mutex> ddl_lock(db_->ddl_mu_);
-  TSE_ASSIGN_OR_RETURN(PreparedSchemaChange prepared, PrepareLocked(change));
-  // One ddl_mu_ hold covers both phases, so concurrent Apply calls
-  // serialize and never see each other's epoch bumps as conflicts.
-  return FlipLocked(prepared, /*check_epoch=*/false);
 }
 
 Result<PreparedSchemaChange> Session::Prepare(
@@ -475,10 +431,6 @@ Result<PreparedSchemaChange> Session::Prepare(
   if (in_transaction()) {
     return Status::FailedPrecondition(
         "cannot change the schema inside an open transaction");
-  }
-  if (!db_->options_.online_schema_change) {
-    return Status::FailedPrecondition(
-        "two-phase schema change requires DbOptions::online_schema_change");
   }
   std::lock_guard<std::mutex> ddl_lock(db_->ddl_mu_);
   TSE_COUNT("db.session.schema_prepares");
@@ -507,32 +459,6 @@ Status Session::AbortPrepared(const PreparedSchemaChange& prepared) {
   (void)prepared;
   TSE_COUNT("db.session.schema_aborts");
   return Status::OK();
-}
-
-Result<ViewId> Session::ApplyEager(const evolution::SchemaChange& change) {
-  std::lock_guard<std::mutex> ddl_lock(db_->ddl_mu_);
-  // Stop-the-world oracle: drain every in-flight session op, then
-  // translate, backfill the whole extent, and publish inside the latch.
-  std::unique_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
-  const uint64_t class_lo = db_->schema_->class_alloc_next();
-  TSE_ASSIGN_OR_RETURN(ViewId new_view,
-                       db_->tse_->ApplyChange(view_->id(), change));
-  const uint64_t class_hi = db_->schema_->class_alloc_next();
-  TSE_ASSIGN_OR_RETURN(const view::ViewSchema* vs,
-                       db_->views_->GetView(new_view));
-  {
-    std::unique_lock<std::shared_mutex> data_lock(db_->data_mu_);
-    db_->backfill_->RegisterNewClasses(class_lo, class_hi,
-                                       db_->extents_.get());
-    db_->backfill_->RunBudget(static_cast<size_t>(-1), nullptr);
-  }
-  db_->catalog_->Publish(new_view, vs);
-  view_ = vs;
-  bound_epoch_ = db_->catalog_->head_epoch();
-  TSE_COUNT("db.epoch.bumps");
-  TSE_COUNT("db.session.schema_changes");
-  TSE_RETURN_IF_ERROR(db_->PersistCatalog());
-  return new_view;
 }
 
 Result<ViewId> Session::Apply(const std::string& change_text) {

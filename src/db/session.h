@@ -30,10 +30,6 @@ class Db;
 struct PreparedSchemaChange {
   ViewId new_view;
   const view::ViewSchema* schema = nullptr;
-  /// Class-id range the change allocated (backfill registration is
-  /// deferred to the flip).
-  uint64_t class_lo = 0;
-  uint64_t class_hi = 0;
   /// Catalog epoch observed at prepare time: CommitPrepared fails with
   /// FailedPrecondition when another schema change published since.
   uint64_t expected_epoch = 0;
@@ -138,16 +134,13 @@ class Session final : public Backend {
   }
 
   /// Applies a schema change to the bound view and rebinds this session
-  /// to the new version. On the online path (the default) the change
-  /// runs without draining any in-flight session operation: new classes
-  /// are assembled invisibly, the version becomes visible with one
-  /// atomic catalog publish, and capacity-augmenting implementation
-  /// objects backfill lazily afterwards. With
-  /// DbOptions::online_schema_change=false the change instead holds the
-  /// schema latch exclusive and materializes eagerly (the differential
-  /// oracle). Either way, other sessions — including ones on older
-  /// versions of the same logical view — are untouched. Rejected inside
-  /// an open transaction.
+  /// to the new version. The change runs without draining any in-flight
+  /// session operation: new classes are assembled invisibly and the
+  /// version becomes visible with one atomic catalog publish. It
+  /// touches no object: a capacity-augmenting class's implementation
+  /// object attaches on the first write through it. Other sessions —
+  /// including ones on older versions of the same logical view — are
+  /// untouched. Rejected inside an open transaction.
   Result<ViewId> Apply(const evolution::SchemaChange& change);
   /// Parses `change_text` ("add_attribute x:int to C", …) and applies.
   Result<ViewId> Apply(const std::string& change_text) override;
@@ -174,8 +167,8 @@ class Session final : public Backend {
 
   /// Phase one: assembles the successor version of the bound view
   /// without publishing it. No session (including this one) can observe
-  /// the new version until CommitPrepared. Requires
-  /// DbOptions::online_schema_change and no open transaction.
+  /// the new version until CommitPrepared. Requires no open
+  /// transaction.
   Result<PreparedSchemaChange> Prepare(const evolution::SchemaChange& change);
   Result<PreparedSchemaChange> Prepare(const std::string& change_text);
 
@@ -209,7 +202,7 @@ class Session final : public Backend {
   /// The skeleton every write shares: the 2PL lock on `oid` (invalid
   /// for Create: nothing to lock yet), the schema latch shared, the
   /// resolve of `class_name` (null for Delete), the data latch
-  /// exclusive, first-touch backfill, MVCC stamping, then `op` on the
+  /// exclusive, MVCC stamping, then `op` on the
   /// open transaction or on the engine (auto-commit: vacuum and durable
   /// commit follow). `op(writer, cls)` returns the written oid.
   template <typename Op>
@@ -220,11 +213,6 @@ class Session final : public Backend {
   /// (including the holder's Commit). No-op outside a transaction.
   Status LockForTxn(Oid oid, bool exclusive);
 
-  /// The two Apply implementations (see Apply). Both require no open
-  /// transaction; ApplyEager is the stop-the-world differential oracle.
-  Result<ViewId> ApplyOnline(const evolution::SchemaChange& change);
-  Result<ViewId> ApplyEager(const evolution::SchemaChange& change);
-
   /// Two-phase bodies; both require ddl_mu_ held. FlipLocked publishes
   /// and rebinds; with `check_epoch` it first verifies no other change
   /// published since the prepare.
@@ -232,12 +220,6 @@ class Session final : public Backend {
       const evolution::SchemaChange& change);
   Result<ViewId> FlipLocked(const PreparedSchemaChange& prepared,
                             bool check_epoch);
-
-  /// First-touch hook: materializes `oid`'s pending backfill slices
-  /// before a read, taking the data latch exclusive only when the
-  /// lock-free pending guard fires. Caller must NOT hold the data
-  /// latch.
-  void TouchForRead(Oid oid) const;
 
   /// Owning (Connect/Clone) or non-owning (Db::OpenSession, the server).
   std::shared_ptr<Db> db_;

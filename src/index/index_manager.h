@@ -29,9 +29,9 @@ struct IndexSpec {
 /// the storage slot — exactly what ObjectAccessor resolves a (class,
 /// attribute-name) pair to. That makes index answers version-correct
 /// across schema change for free: a pinned session's select resolves to
-/// the same PropertyDefId regardless of catalog epoch, and lazily
-/// backfilled slices carry no values (read Null), so they are invisible
-/// to indexes until a real write journals a kValueChanged record.
+/// the same PropertyDefId regardless of catalog epoch, and a class's
+/// attributes read Null until a real write attaches its slice and
+/// journals a kValueChanged record, so nothing is indexed before then.
 ///
 /// Thread safety: every public method takes mu_. Callers must hold the
 /// embedding layer's data latch (shared suffices — the manager never

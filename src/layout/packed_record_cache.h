@@ -40,10 +40,10 @@ namespace tse::layout {
 /// IndexManager (§11) follow: every public probe first drains records
 /// since its last-seen cursor; a trimmed journal (gap) rebuilds every
 /// packed class from a store scan. Rows key on *journaled direct
-/// memberships* — never on slice presence, which PR 6's journal-silent
-/// lazy backfill may change without a record. Lazily backfilled slices
-/// carry no values and read Null, which is exactly what their packed
-/// cells hold, so backfill timing is invisible here too.
+/// memberships* — never on slice presence. A slice attaches silently
+/// on its class's first write (DESIGN.md §10), and that write journals
+/// kValueChanged; an object with no slice reads Null, which is exactly
+/// what its packed cells hold.
 ///
 /// ## Schema-change invalidation
 ///

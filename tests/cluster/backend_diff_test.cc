@@ -37,7 +37,6 @@ Node StartNode(uint32_t shard_id, uint32_t shard_count) {
   DbOptions options;
   options.shard_id = shard_id;
   options.shard_count = shard_count;
-  options.background_backfill = false;  // deterministic
   node.db = Db::Open(options).value();
   node.server = std::make_unique<tse::net::Server>(node.db.get());
   EXPECT_TRUE(node.server->Start().ok());

@@ -91,6 +91,26 @@ TEST(DbFacadeTest, ApplyRebindsOnlyTheRequestingSession) {
   EXPECT_TRUE(pinned->Get(bob, "Student", "advisor").ok());
 }
 
+TEST(DbFacadeTest, RejectedApplyPublishesNothing) {
+  auto db = MakeUniversity();
+  auto session = db->OpenSession("Registrar").value();
+  session->Apply("add_attribute advisor:string to Student").value();
+  const ViewId bound = session->view_id();
+  const uint64_t epoch_before = db->epoch();
+  const size_t log_before = db->catalog().Log().size();
+  const std::vector<ViewId> history_before = db->views().History("Registrar");
+
+  for (const char* change : {"add_attribute x:int to Professor",
+                             "add_attribute advisor:string to Student",
+                             "delete_class Professor"}) {
+    EXPECT_FALSE(session->Apply(change).ok()) << change;
+    EXPECT_EQ(db->epoch(), epoch_before) << change;
+    EXPECT_EQ(db->catalog().Log().size(), log_before) << change;
+    EXPECT_EQ(db->views().History("Registrar"), history_before) << change;
+    EXPECT_EQ(session->view_id(), bound) << change;
+  }
+}
+
 TEST(DbFacadeTest, OpenSessionAtHistoricalVersion) {
   auto db = MakeUniversity();
   auto session = db->OpenSession("Registrar").value();

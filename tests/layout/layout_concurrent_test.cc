@@ -26,7 +26,6 @@ using schema::PropertySpec;
 DbOptions InMemory() {
   DbOptions options;
   options.closure_policy = update::ValueClosurePolicy::kAllow;
-  options.background_backfill = false;
   return options;
 }
 

@@ -24,7 +24,6 @@ using schema::PropertySpec;
 DbOptions InMemory() {
   DbOptions options;
   options.closure_policy = update::ValueClosurePolicy::kAllow;
-  options.background_backfill = false;  // deterministic backfill for tests
   return options;
 }
 

@@ -22,7 +22,6 @@
 
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
-#include "fuzz/lazy_eager_diff.h"
 
 #ifndef TSE_REPRO_DIR
 #error "TSE_REPRO_DIR must point at tests/property/repros"
@@ -49,30 +48,6 @@ TEST(FuzzReproCorpus, EveryCheckedInReproReplaysClean) {
     EXPECT_TRUE(report.value().Clean())
         << path << " regressed: "
         << report.value().divergence->ToString();
-  }
-}
-
-TEST(FuzzReproCorpus, EveryCheckedInReproAgreesLazyVsEager) {
-  // The same corpus, replayed through the lazy-vs-eager mode: every
-  // historical divergence script must also leave the online
-  // schema-change path indistinguishable from the eager drain.
-  std::vector<std::string> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(TSE_REPRO_DIR)) {
-    if (entry.path().extension() == ".tsefuzz") {
-      files.push_back(entry.path().string());
-    }
-  }
-  ASSERT_GE(files.size(), 4u) << "repro corpus went missing";
-  for (const std::string& path : files) {
-    Result<FuzzCase> c = LoadCase(path);
-    ASSERT_TRUE(c.ok()) << path << ": " << c.status().ToString();
-    RunReport report = RunLazyEagerDiff(c.value());
-    ASSERT_TRUE(report.error.ok())
-        << path << ": " << report.error.ToString();
-    EXPECT_TRUE(report.Clean())
-        << path << " diverged lazy-vs-eager: "
-        << report.divergence->ToString();
   }
 }
 

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "fuzz/fuzzer.h"
-#include "fuzz/lazy_eager_diff.h"
 
 namespace tse::fuzz {
 namespace {
@@ -41,32 +40,6 @@ TEST(FuzzSmoke, FiftySeededScriptsMatchTheOracle) {
   // The per-run profile: campaign totals plus the observability
   // counters the run accumulated.
   std::cout << report.SummaryWithMetrics() << "\n";
-}
-
-TEST(FuzzSmoke, LazyAndEagerSchemaChangeAgreeOnThirtySeeds) {
-  // DESIGN.md §10: the online path (catalog publish + lazy backfill)
-  // must be logically indistinguishable from the eager drain. Thirty
-  // seeded cases replay through two full Db facades in lockstep; any
-  // acceptance, extent, or value asymmetry is a real bug.
-  FuzzCaseOptions options;
-  options.schema.num_classes = 8;
-  options.schema.num_objects = 24;
-  options.script.num_changes = 10;
-
-  size_t attempted = 0;
-  size_t accepted = 0;
-  for (uint64_t seed = 1; seed <= 30; ++seed) {
-    FuzzCase c = GenerateCase(seed, options);
-    RunReport report = RunLazyEagerDiff(c);
-    ASSERT_TRUE(report.error.ok())
-        << "seed " << seed << ": " << report.error.ToString();
-    EXPECT_TRUE(report.Clean())
-        << "seed " << seed << " diverged: " << report.divergence->ToString();
-    attempted += report.attempted;
-    accepted += report.accepted;
-  }
-  EXPECT_EQ(attempted, 30u * 10u);
-  EXPECT_GT(accepted, 60u);  // the runs must genuinely evolve schemas
 }
 
 }  // namespace
