@@ -14,6 +14,35 @@ using schema::SchemaGraph;
 
 namespace {
 
+/// Per-class marks for one placement search, indexed by class id. A new
+/// pass bumps the stamp instead of clearing, so walks allocate nothing.
+class Marks {
+ public:
+  explicit Marks(size_t id_bound) : stamps_(id_bound, 0) {}
+  void NewPass() { ++stamp_; }
+  /// Marks `cls`; false when it was already marked in this pass.
+  bool Insert(ClassId cls) {
+    uint32_t& s = stamps_[cls.value()];
+    if (s == stamp_) return false;
+    s = stamp_;
+    return true;
+  }
+
+ private:
+  std::vector<uint32_t> stamps_;
+  uint32_t stamp_ = 1;
+};
+
+/// Direct classified subs or supers of `cls` (empty for a missing
+/// class), read in place under the search's hold.
+const std::set<ClassId>& Next(const SchemaGraph::ReadHold& graph, ClassId cls,
+                              bool down) {
+  static const std::set<ClassId> kNone;
+  const ClassNode* node = graph.Find(cls);
+  if (node == nullptr) return kNone;
+  return down ? node->subs : node->supers;
+}
+
 /// The candidates no other candidate lies strictly beyond, in id order:
 /// the direct supers when `down` (walking direct subs inside the up-set)
 /// and the direct subs otherwise (walking direct supers inside the sub
@@ -26,34 +55,32 @@ namespace {
 /// below the class it refines), and a class strictly beyond the cycle
 /// is only reached through it. Completeness of the DAG makes the walk
 /// see every candidate the exhaustive filter would compare against.
-std::vector<ClassId> Frontier(const SchemaGraph& schema,
+std::vector<ClassId> Frontier(const SchemaGraph::ReadHold& graph,
                               const std::vector<ClassId>& candidates,
-                              bool down) {
+                              bool down, Marks* seen,
+                              std::vector<ClassId>* stack) {
   auto in_set = [&](ClassId c) {
     return std::binary_search(candidates.begin(), candidates.end(), c);
   };
-  auto next = [&](ClassId c) {
-    return (down ? schema.DirectSubs(c) : schema.DirectSupers(c))
-        .value_or({});
-  };
   std::vector<ClassId> out;
   for (ClassId cand : candidates) {
-    std::set<ClassId> seen{cand};
-    std::vector<ClassId> stack{cand};
+    seen->NewPass();
+    seen->Insert(cand);
+    stack->assign(1, cand);
     bool frontier = true;
-    while (frontier && !stack.empty()) {
-      ClassId cur = stack.back();
-      stack.pop_back();
-      for (ClassId beyond : next(cur)) {
-        if (!in_set(beyond) || !seen.insert(beyond).second) continue;
+    while (frontier && !stack->empty()) {
+      ClassId cur = stack->back();
+      stack->pop_back();
+      for (ClassId beyond : Next(graph, cur, down)) {
+        if (!in_set(beyond) || !seen->Insert(beyond)) continue;
         TSE_COUNT("classifier.filter.checks");
-        const bool equivalent = down ? schema.IsaSubsumedBy(cand, beyond)
-                                     : schema.IsaSubsumedBy(beyond, cand);
+        const bool equivalent = down ? graph.IsaSubsumedBy(cand, beyond)
+                                     : graph.IsaSubsumedBy(beyond, cand);
         if (!equivalent) {
           frontier = false;
           break;
         }
-        stack.push_back(beyond);
+        stack->push_back(beyond);
       }
     }
     if (frontier) out.push_back(cand);
@@ -63,26 +90,38 @@ std::vector<ClassId> Frontier(const SchemaGraph& schema,
 
 /// `from` and every class below it in the classified DAG, except
 /// `skip`, in id order.
-std::vector<ClassId> Descendants(const SchemaGraph& schema, ClassId from,
-                                 ClassId skip) {
-  std::set<ClassId> seen{from};
-  std::vector<ClassId> stack{from};
-  while (!stack.empty()) {
-    ClassId cur = stack.back();
-    stack.pop_back();
-    for (ClassId sub : schema.DirectSubs(cur).value_or({})) {
-      if (seen.insert(sub).second) stack.push_back(sub);
+std::vector<ClassId> Descendants(const SchemaGraph::ReadHold& graph,
+                                 ClassId from, ClassId skip, Marks* seen,
+                                 std::vector<ClassId>* stack) {
+  seen->NewPass();
+  seen->Insert(from);
+  std::vector<ClassId> out{from};
+  stack->assign(1, from);
+  while (!stack->empty()) {
+    ClassId cur = stack->back();
+    stack->pop_back();
+    for (ClassId sub : Next(graph, cur, /*down=*/true)) {
+      if (seen->Insert(sub)) {
+        out.push_back(sub);
+        stack->push_back(sub);
+      }
     }
   }
-  seen.erase(skip);
-  return std::vector<ClassId>(seen.begin(), seen.end());
+  std::erase(out, skip);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
 
 Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
+  // One shared hold of the graph latch for the whole search: every
+  // subsumption test, DAG read and type read below runs under it.
+  const SchemaGraph::ReadHold graph(schema);
   Placement out;
-  const ClassId root = schema.root();
+  const ClassId root = graph.root();
+  Marks seen(graph.id_bound());
+  std::vector<ClassId> stack;
 
   // --- Up-set: the classified classes subsuming cls ----------------------
   // A class is tested once, whichever parent reaches it first: the test
@@ -90,17 +129,18 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
   std::vector<ClassId> up;
   if (cls != root) {
     TSE_COUNT("classifier.subsumption.checks");
-    if (schema.IsaSubsumedBy(cls, root)) up.push_back(root);
+    if (graph.IsaSubsumedBy(cls, root)) up.push_back(root);
   }
-  std::set<ClassId> visited{root, cls};
-  std::vector<ClassId> stack{root};
+  seen.Insert(root);
+  if (cls.value() < graph.id_bound()) seen.Insert(cls);
+  stack.push_back(root);
   while (!stack.empty()) {
     ClassId cur = stack.back();
     stack.pop_back();
-    for (ClassId sub : schema.DirectSubs(cur).value_or({})) {
-      if (!visited.insert(sub).second) continue;
+    for (ClassId sub : Next(graph, cur, /*down=*/true)) {
+      if (!seen.Insert(sub)) continue;
       TSE_COUNT("classifier.subsumption.checks");
-      if (schema.IsaSubsumedBy(cls, sub)) {
+      if (graph.IsaSubsumedBy(cls, sub)) {
         up.push_back(sub);
         stack.push_back(sub);
       }
@@ -111,7 +151,7 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
   // --- Duplicate: lowest id inside the up-set ------------------------------
   for (ClassId cand : up) {
     TSE_COUNT("classifier.subsumption.checks");
-    if (schema.IsDuplicateOf(cls, cand)) {
+    if (graph.IsDuplicateOf(cls, cand)) {
       out.duplicate = cand;
       return out;
     }
@@ -122,7 +162,7 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
   // DAG; every class below cls lies below it.
   ClassId region = root;
   for (ClassId cand : up) {
-    std::vector<ClassId> subs = schema.DirectSubs(cand).value_or({});
+    const std::set<ClassId>& subs = Next(graph, cand, /*down=*/true);
     if (std::none_of(subs.begin(), subs.end(), [&](ClassId sub) {
           return std::binary_search(up.begin(), up.end(), sub);
         })) {
@@ -131,14 +171,14 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
     }
   }
   std::vector<ClassId> below;
-  for (ClassId cand : Descendants(schema, region, cls)) {
+  for (ClassId cand : Descendants(graph, region, cls, &seen, &stack)) {
     TSE_COUNT("classifier.subsumption.checks");
-    if (schema.IsaSubsumedBy(cand, cls)) below.push_back(cand);
+    if (graph.IsaSubsumedBy(cand, cls)) below.push_back(cand);
   }
 
   // --- Filters: the direct supers and subs, read off the DAG -------------
-  out.supers = Frontier(schema, up, /*down=*/true);
-  out.subs = Frontier(schema, below, /*down=*/false);
+  out.supers = Frontier(graph, up, /*down=*/true, &seen, &stack);
+  out.subs = Frontier(graph, below, /*down=*/false, &seen, &stack);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "schema/schema_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 
 #include "common/str_util.h"
@@ -30,31 +31,164 @@ const char* DerivationOpName(DerivationOp op) {
 
 uint64_t SchemaGraph::class_version(ClassId cls) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  auto it = class_versions_.find(cls.value());
-  return it == class_versions_.end() ? 0 : it->second;
+  const ClassSlot* slot = SlotUnlocked(cls);
+  return slot == nullptr ? 0 : slot->version;
 }
 
 void SchemaGraph::BumpClassVersion(ClassId cls) {
   const uint64_t generation = generation_.load(std::memory_order_relaxed);
-  class_versions_[cls.value()] = generation;
-  auto node = GetClassUnlocked(cls);
-  if (!node.ok() || !node.value()->is_base()) return;
+  ClassSlot* slot = SlotUnlocked(cls);
+  if (slot == nullptr) return;
+  slot->version = generation;
+  if (!slot->node.is_base()) return;
   // A base class's computed extent unions the direct extents of every
   // base class beneath it; attaching a new base class changes that
   // source set for all transitive declared supers.
-  std::vector<ClassId> queue(node.value()->declared_supers);
+  std::vector<ClassId> queue(slot->node.declared_supers);
   std::set<ClassId> seen;
   while (!queue.empty()) {
     ClassId cur = queue.back();
     queue.pop_back();
     if (!seen.insert(cur).second) continue;
-    class_versions_[cur.value()] = generation;
-    auto cur_node = GetClassUnlocked(cur);
-    if (cur_node.ok()) {
-      for (ClassId sup : cur_node.value()->declared_supers) {
-        queue.push_back(sup);
-      }
+    ClassSlot* cur_slot = SlotUnlocked(cur);
+    if (cur_slot == nullptr) continue;
+    cur_slot->version = generation;
+    for (ClassId sup : cur_slot->node.declared_supers) queue.push_back(sup);
+  }
+}
+
+// --- Tables --------------------------------------------------------------------
+
+int SchemaGraph::PairMemo::Find(ClassId a, ClassId b) const {
+  if (slots_.empty() || !Fits(a, b)) return -1;
+  const uint64_t key = Key(a, b);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == kEmpty) return -1;
+    if ((slot & ~uint64_t{1}) == key) return static_cast<int>(slot & 1);
+  }
+}
+
+void SchemaGraph::PairMemo::Insert(ClassId a, ClassId b, bool value) {
+  if (!Fits(a, b)) return;
+  // Grow at half full, so probes stay short and a free slot always ends
+  // them.
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const uint64_t key = Key(a, b);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    if (slots_[i] == kEmpty) {
+      slots_[i] = key | (value ? 1 : 0);
+      ++size_;
+      return;
     }
+    if ((slots_[i] & ~uint64_t{1}) == key) return;
+  }
+}
+
+void SchemaGraph::PairMemo::Grow() {
+  std::vector<uint64_t> old = std::move(slots_);
+  const size_t capacity = old.empty() ? 1024 : 2 * old.size();
+  slots_.assign(capacity, kEmpty);
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (uint64_t slot : old) {
+    if (slot == kEmpty) continue;
+    size_t i = Home(slot & ~uint64_t{1});
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+Status SchemaGraph::InstallClassUnlocked(ClassNode node) {
+  const ClassId id = node.id;
+  if (!id.valid() || id.value() >= kMaxIds) {
+    return Status::InvalidArgument(
+        StrCat("class id ", id.ToString(), " is beyond the class table"));
+  }
+  if (id.value() >= table_.size()) {
+    table_.resize(id.value() + 1);
+    in_progress_.resize(id.value() + 1, 0);
+  }
+  auto slot = std::make_unique<ClassSlot>();
+  slot->node = std::move(node);
+  const ClassNode& n = slot->node;
+  const Derivation& d = n.derivation;
+  switch (d.op) {
+    case DerivationOp::kBase:
+      slot->extent_ups = n.declared_supers;
+      break;
+    case DerivationOp::kSelect:
+    case DerivationOp::kHide:
+    case DerivationOp::kRefine:
+    case DerivationOp::kDifference:
+      slot->extent_ups.push_back(d.sources[0]);
+      break;
+    case DerivationOp::kIntersect:
+      slot->extent_ups = d.sources;
+      break;
+    case DerivationOp::kUnion:
+      // Handled by the conjunctive rule in ExtentSubsumedByImpl.
+      break;
+  }
+  // Derived classes can subsume their sources:
+  //  - hide/refine classes have exactly their source's extent, so the
+  //    source is subsumed by them;
+  //  - a union always contains each of its sources.
+  const bool subsumes_sources = d.op == DerivationOp::kHide ||
+                                d.op == DerivationOp::kRefine ||
+                                d.op == DerivationOp::kUnion;
+  for (ClassId src : d.sources) {
+    ClassSlot* src_slot = SlotUnlocked(src);
+    src_slot->derived.push_back(id);
+    if (subsumes_sources) src_slot->extent_ups.push_back(id);
+  }
+  const StructuralRow row{id, d.sources.empty() ? ClassId() : d.sources[0],
+                          d.sources.size() < 2 ? ClassId() : d.sources[1]};
+  auto insert_row = [&](std::vector<StructuralRow>* rows) {
+    rows->insert(std::upper_bound(rows->begin(), rows->end(), id,
+                                  [](ClassId v, const StructuralRow& r) {
+                                    return v < r.id;
+                                  }),
+                 row);
+  };
+  if (d.op == DerivationOp::kSelect) {
+    insert_row(&selects_by_predicate_[d.predicate.get()]);
+  } else if (d.op == DerivationOp::kDifference) {
+    insert_row(&differences_);
+  } else if (d.op == DerivationOp::kIntersect) {
+    insert_row(&intersects_);
+  }
+  by_name_[n.name] = id;
+  table_[id.value()] = std::move(slot);
+  ++class_count_;
+  return Status::OK();
+}
+
+Status SchemaGraph::InstallPropertyUnlocked(PropertyDef def) {
+  const PropertyDefId id = def.id;
+  if (!id.valid() || id.value() >= kMaxIds) {
+    return Status::InvalidArgument(StrCat(
+        "property def ", id.ToString(), " is beyond the property table"));
+  }
+  if (id.value() >= props_.size()) props_.resize(id.value() + 1);
+  props_[id.value()] = std::make_unique<PropertyDef>(std::move(def));
+  return Status::OK();
+}
+
+void SchemaGraph::DropTypesUnlocked(ClassSlot* only) {
+  std::unique_lock<std::shared_mutex> lock(memo_mu_);
+  auto drop = [](ClassSlot* slot) {
+    slot->type.store(nullptr, std::memory_order_relaxed);
+    slot->type_owner.reset();
+  };
+  if (only != nullptr) {
+    drop(only);
+    return;
+  }
+  for (const auto& slot : table_) {
+    if (slot) drop(slot.get());
   }
 }
 
@@ -66,8 +200,8 @@ SchemaGraph::SchemaGraph() {
   node.name = "OBJECT";
   node.derivation.op = DerivationOp::kBase;
   root_ = node.id;
-  by_name_[node.name] = root_;
-  classes_.emplace(root_.value(), std::move(node));
+  Status installed = InstallClassUnlocked(std::move(node));
+  (void)installed;  // id 0 always fits
 }
 
 Result<ClassId> SchemaGraph::AddBaseClass(
@@ -105,16 +239,15 @@ Result<ClassId> SchemaGraph::AddBaseClass(
     def.body = spec.body;
     def.definer = id;
     node.local_props.push_back(def.id);
-    props_.emplace(def.id.value(), std::move(def));
+    TSE_RETURN_IF_ERROR(InstallPropertyUnlocked(std::move(def)));
   }
   // Seed the classified DAG from the declared base edges.
   for (ClassId sup : supers) {
     node.supers.insert(sup);
   }
-  by_name_[name] = id;
-  classes_.emplace(id.value(), std::move(node));
+  TSE_RETURN_IF_ERROR(InstallClassUnlocked(std::move(node)));
   for (ClassId sup : supers) {
-    classes_.at(sup.value()).subs.insert(id);
+    SlotUnlocked(sup)->node.subs.insert(id);
   }
   // Adding a class cannot flip a provable subsumption or an effective
   // type between *existing* classes (derivations are immutable and new
@@ -145,12 +278,7 @@ Result<ClassId> SchemaGraph::AddVirtualClassUnlocked(const std::string& name,
   node.name = name;
   node.derivation = std::move(derivation);
   ClassId id = node.id;
-  by_name_[name] = id;
-  for (ClassId src : node.derivation.sources) {
-    derived_index_[src.value()].push_back(id);
-  }
-  classes_by_op_[node.derivation.op].insert(id.value());
-  classes_.emplace(id.value(), std::move(node));
+  TSE_RETURN_IF_ERROR(InstallClassUnlocked(std::move(node)));
   // Monotone addition: existing memo entries stay valid (see
   // AddBaseClass); dependents rebuild their dependency graphs off the
   // generation bump.
@@ -211,7 +339,7 @@ Result<PropertyDefId> SchemaGraph::DefinePropertyUnlocked(
   def.body = spec.body;
   def.definer = definer;
   PropertyDefId id = def.id;
-  props_.emplace(id.value(), std::move(def));
+  TSE_RETURN_IF_ERROR(InstallPropertyUnlocked(std::move(def)));
   return id;
 }
 
@@ -252,10 +380,7 @@ Result<ClassId> SchemaGraph::AddRefineClass(
   // class's own type could have been computed in between — drop it.
   // (Concurrent readers never saw the intermediate node: the whole
   // assembly ran under the exclusive graph latch.)
-  {
-    std::unique_lock<std::shared_mutex> lock(memo_mu_);
-    type_cache_.erase(cls.value());
-  }
+  DropTypesUnlocked(SlotUnlocked(cls));
   return cls;
 }
 
@@ -281,10 +406,7 @@ Status SchemaGraph::AddLocalProperty(ClassId cls, PropertyDefId def) {
   node->local_props.push_back(def);
   // A new stored name can shadow (or un-shadow) resolution anywhere
   // beneath `cls`: drop the type memo and floor every extent cache.
-  {
-    std::unique_lock<std::shared_mutex> lock(memo_mu_);
-    type_cache_.clear();
-  }
+  DropTypesUnlocked(nullptr);
   BumpFloorAndGeneration();
   return Status::OK();
 }
@@ -303,28 +425,38 @@ Status SchemaGraph::RemoveClassUnlocked(ClassId cls) {
     return Status::FailedPrecondition(
         StrCat("class ", node->name, " is classified; unlink it first"));
   }
-  if (!DerivedFromUnlocked(cls).empty()) {
+  if (!SlotUnlocked(cls)->derived.empty()) {
     return Status::FailedPrecondition(
         StrCat("class ", node->name, " has derived classes"));
   }
-  for (ClassId src : node->derivation.sources) {
-    auto it = derived_index_.find(src.value());
-    if (it != derived_index_.end()) {
-      std::erase(it->second, cls);
+  const Derivation& d = node->derivation;
+  for (ClassId src : d.sources) {
+    ClassSlot* src_slot = SlotUnlocked(src);
+    std::erase(src_slot->derived, cls);
+    std::erase(src_slot->extent_ups, cls);
+  }
+  auto erase_row = [&](std::vector<StructuralRow>* rows) {
+    std::erase_if(*rows, [&](const StructuralRow& r) { return r.id == cls; });
+  };
+  if (d.op == DerivationOp::kSelect) {
+    auto group = selects_by_predicate_.find(d.predicate.get());
+    if (group != selects_by_predicate_.end()) {
+      erase_row(&group->second);
+      if (group->second.empty()) selects_by_predicate_.erase(group);
     }
+  } else if (d.op == DerivationOp::kDifference) {
+    erase_row(&differences_);
+  } else if (d.op == DerivationOp::kIntersect) {
+    erase_row(&intersects_);
   }
   // Drop property definitions whose storage lived at the removed class
   // (fresh refine attributes of a discarded duplicate).
-  for (auto it = props_.begin(); it != props_.end();) {
-    if (it->second.definer == cls) {
-      it = props_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto& def : props_) {
+    if (def && def->definer == cls) def.reset();
   }
   by_name_.erase(node->name);
-  classes_by_op_[node->derivation.op].erase(cls.value());
-  classes_.erase(cls.value());
+  table_[cls.value()].reset();
+  --class_count_;
   // The extent memo keeps its entries: only an unreferenced virtual
   // class can be removed, and a removed class was at most a proof
   // *witness* for subsumptions between other classes — facts that
@@ -332,12 +464,8 @@ Status SchemaGraph::RemoveClassUnlocked(ClassId cls) {
   // can no longer be reached: ids are never reused, no proof walks into
   // a class that is gone from every index, and the public extent queries
   // answer a removed class without the memo. Scanning the memo here
-  // instead would cost its whole size per discarded duplicate.
-  {
-    std::unique_lock<std::shared_mutex> lock(memo_mu_);
-    type_cache_.erase(cls.value());
-  }
-  class_versions_.erase(cls.value());
+  // instead would cost its whole size per discarded duplicate. The
+  // class's type memo went with its row.
   // The count moves first, like the floor in BumpFloorAndGeneration.
   removals_.fetch_add(1, std::memory_order_acq_rel);
   generation_.fetch_add(1, std::memory_order_acq_rel);
@@ -388,29 +516,29 @@ Result<const ClassNode*> SchemaGraph::GetClass(ClassId id) const {
 }
 
 Result<const ClassNode*> SchemaGraph::GetClassUnlocked(ClassId id) const {
-  auto it = classes_.find(id.value());
-  if (it == classes_.end()) {
+  const ClassSlot* slot = SlotUnlocked(id);
+  if (slot == nullptr) {
     return Status::NotFound(StrCat("class id ", id.ToString()));
   }
-  return &it->second;
+  return &slot->node;
 }
 
 bool SchemaGraph::HasClass(ClassId id) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  return classes_.count(id.value()) != 0;
+  return SlotUnlocked(id) != nullptr;
 }
 
 size_t SchemaGraph::class_count() const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  return classes_.size();
+  return class_count_;
 }
 
 Result<ClassNode*> SchemaGraph::GetMutable(ClassId id) {
-  auto it = classes_.find(id.value());
-  if (it == classes_.end()) {
+  ClassSlot* slot = SlotUnlocked(id);
+  if (slot == nullptr) {
     return Status::NotFound(StrCat("class id ", id.ToString()));
   }
-  return &it->second;
+  return &slot->node;
 }
 
 Result<const PropertyDef*> SchemaGraph::GetProperty(PropertyDefId id) const {
@@ -420,58 +548,44 @@ Result<const PropertyDef*> SchemaGraph::GetProperty(PropertyDefId id) const {
 
 Result<const PropertyDef*> SchemaGraph::GetPropertyUnlocked(
     PropertyDefId id) const {
-  auto it = props_.find(id.value());
-  if (it == props_.end()) {
+  if (id.value() >= props_.size() || !props_[id.value()]) {
     return Status::NotFound(StrCat("property def ", id.ToString()));
   }
-  return &it->second;
+  return props_[id.value()].get();
 }
 
 Status SchemaGraph::RenameProperty(PropertyDefId id,
                                    const std::string& new_name) {
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
-  auto it = props_.find(id.value());
-  if (it == props_.end()) {
+  if (id.value() >= props_.size() || !props_[id.value()]) {
     return Status::NotFound(StrCat("property def ", id.ToString()));
   }
-  it->second.name = new_name;
+  props_[id.value()]->name = new_name;
   // Renames can silently retarget by-name resolution in select
   // predicates: drop the type memo and floor every extent cache.
-  {
-    std::unique_lock<std::shared_mutex> lock(memo_mu_);
-    type_cache_.clear();
-  }
+  DropTypesUnlocked(nullptr);
   BumpFloorAndGeneration();
   return Status::OK();
 }
 
 std::vector<ClassId> SchemaGraph::AllClasses() const {
-  std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  std::vector<ClassId> out;
-  out.reserve(classes_.size());
-  for (const auto& [raw, _] : classes_) out.push_back(ClassId(raw));
-  return out;
+  return ClassesFrom(ClassId(0));
 }
 
 std::vector<ClassId> SchemaGraph::ClassesFrom(ClassId first) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   std::vector<ClassId> out;
-  for (auto it = classes_.lower_bound(first.value()); it != classes_.end();
-       ++it) {
-    out.push_back(ClassId(it->first));
+  out.reserve(class_count_);
+  for (uint64_t raw = first.value(); raw < table_.size(); ++raw) {
+    if (table_[raw]) out.push_back(ClassId(raw));
   }
   return out;
 }
 
 std::vector<ClassId> SchemaGraph::DerivedFrom(ClassId cls) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  return DerivedFromUnlocked(cls);
-}
-
-std::vector<ClassId> SchemaGraph::DerivedFromUnlocked(ClassId cls) const {
-  auto it = derived_index_.find(cls.value());
-  if (it == derived_index_.end()) return {};
-  return it->second;
+  const ClassSlot* slot = SlotUnlocked(cls);
+  return slot == nullptr ? std::vector<ClassId>{} : slot->derived;
 }
 
 Result<std::vector<ClassId>> SchemaGraph::OriginClasses(ClassId cls) const {
@@ -509,27 +623,32 @@ Result<TypeSet> SchemaGraph::EffectiveTypeLocked(ClassId cls) const {
 }
 
 Result<const TypeSet*> SchemaGraph::TypeRefLocked(ClassId cls) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(memo_mu_);
-    auto hit = type_cache_.find(cls.value());
-    if (hit != type_cache_.end()) return &hit->second;
+  const ClassSlot* slot = SlotUnlocked(cls);
+  if (slot == nullptr) {
+    return Status::NotFound(StrCat("class id ", cls.ToString()));
+  }
+  if (const TypeSet* hit = slot->type.load(std::memory_order_acquire)) {
+    return hit;
   }
   std::unique_lock<std::shared_mutex> lock(memo_mu_);
   TypeSet out;
   std::set<ClassId> in_progress;
   TSE_RETURN_IF_ERROR(ComputeType(cls, &out, &in_progress));
   // A successful ComputeType always leaves `cls` in the memo.
-  return &type_cache_.at(cls.value());
+  return slot->type.load(std::memory_order_relaxed);
 }
 
 Status SchemaGraph::ComputeType(ClassId cls, TypeSet* out,
                                 std::set<ClassId>* in_progress) const {
-  auto hit = type_cache_.find(cls.value());
-  if (hit != type_cache_.end()) {
-    *out = hit->second;
+  ClassSlot* slot = SlotUnlocked(cls);
+  if (slot == nullptr) {
+    return Status::NotFound(StrCat("class id ", cls.ToString()));
+  }
+  if (const TypeSet* hit = slot->type.load(std::memory_order_relaxed)) {
+    *out = *hit;
     return Status::OK();
   }
-  TSE_ASSIGN_OR_RETURN(const ClassNode* node, GetClassUnlocked(cls));
+  const ClassNode* node = &slot->node;
   if (!in_progress->insert(cls).second) {
     return Status::FailedPrecondition(
         StrCat("cyclic derivation through class ", node->name));
@@ -634,7 +753,8 @@ Status SchemaGraph::ComputeType(ClassId cls, TypeSet* out,
   }
   in_progress->erase(cls);
   if (status.ok()) {
-    type_cache_.emplace(cls.value(), *out);
+    slot->type_owner = std::make_unique<const TypeSet>(*out);
+    slot->type.store(slot->type_owner.get(), std::memory_order_release);
   }
   return status;
 }
@@ -649,48 +769,6 @@ Result<const PropertyDef*> SchemaGraph::ResolveProperty(
 
 // --- Subsumption -------------------------------------------------------------
 
-std::vector<ClassId> SchemaGraph::DirectExtentUps(ClassId cls) const {
-  std::vector<ClassId> ups;
-  auto node_or = GetClassUnlocked(cls);
-  if (!node_or.ok()) return ups;
-  const ClassNode* node = node_or.value();
-  switch (node->derivation.op) {
-    case DerivationOp::kBase:
-      ups.insert(ups.end(), node->declared_supers.begin(),
-                 node->declared_supers.end());
-      break;
-    case DerivationOp::kSelect:
-    case DerivationOp::kHide:
-    case DerivationOp::kRefine:
-      ups.push_back(node->derivation.sources[0]);
-      break;
-    case DerivationOp::kDifference:
-      ups.push_back(node->derivation.sources[0]);
-      break;
-    case DerivationOp::kIntersect:
-      ups.push_back(node->derivation.sources[0]);
-      ups.push_back(node->derivation.sources[1]);
-      break;
-    case DerivationOp::kUnion:
-      // Handled by the conjunctive rule in ExtentSubsumedByImpl.
-      break;
-  }
-  // Derived classes can subsume their sources:
-  //  - hide/refine classes have exactly their source's extent, so the
-  //    source is subsumed by them;
-  //  - a union always contains each of its sources.
-  for (ClassId derived : DerivedFromUnlocked(cls)) {
-    auto derived_or = GetClassUnlocked(derived);
-    if (!derived_or.ok()) continue;
-    DerivationOp op = derived_or.value()->derivation.op;
-    if (op == DerivationOp::kHide || op == DerivationOp::kRefine ||
-        op == DerivationOp::kUnion) {
-      ups.push_back(derived);
-    }
-  }
-  return ups;
-}
-
 bool SchemaGraph::ExtentSubsumedBy(ClassId a, ClassId b) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   if (a != b && !BothPresentLocked(a, b)) return false;
@@ -698,73 +776,64 @@ bool SchemaGraph::ExtentSubsumedBy(ClassId a, ClassId b) const {
 }
 
 bool SchemaGraph::ExtentEquivalent(ClassId a, ClassId b) const {
-  std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
-  if (a != b && !BothPresentLocked(a, b)) return false;
-  return ExtentEquivalentLocked(a, b);
+  return ReadHold(*this).ExtentEquivalent(a, b);
 }
 
 bool SchemaGraph::BothPresentLocked(ClassId a, ClassId b) const {
   // Guards the memo's stale entries for removed classes (RemoveClass).
   // The answer is what a proof would give: a missing class has no
   // derivation to prove from, and none leads to it.
-  return classes_.count(a.value()) != 0 && classes_.count(b.value()) != 0;
+  return SlotUnlocked(a) != nullptr && SlotUnlocked(b) != nullptr;
 }
 
 bool SchemaGraph::ExtentSubsumedByLocked(ClassId a, ClassId b) const {
-  auto key = std::make_pair(a.value(), b.value());
   {
     std::shared_lock<std::shared_mutex> lock(memo_mu_);
-    auto hit = extent_cache_.find(key);
-    if (hit != extent_cache_.end()) {
+    const int hit = extent_memo_.Find(a, b);
+    if (hit >= 0) {
       TSE_COUNT("schema.subsume.memo_hits");
-      return hit->second;
+      return hit != 0;
     }
   }
   std::unique_lock<std::shared_mutex> lock(memo_mu_);
-  auto hit = extent_cache_.find(key);
-  if (hit != extent_cache_.end()) {
+  const int hit = extent_memo_.Find(a, b);
+  if (hit >= 0) {
     TSE_COUNT("schema.subsume.memo_hits");
-    return hit->second;
+    return hit != 0;
   }
   TSE_COUNT("schema.subsume.proofs");
-  std::set<ClassId> in_progress;
   bool tainted = false;
-  bool result = ExtentSubsumedByImpl(a, b, &in_progress, &tainted);
-  // At top level the in_progress set is empty, so even a guard-pruned
+  bool result = ExtentSubsumedByImpl(a, b, &tainted);
+  // At top level no class is on the proof stack, so even a guard-pruned
   // (tainted) negative answer is the query's definitive answer.
-  extent_cache_.emplace(key, result);
+  extent_memo_.Insert(a, b, result);
   return result;
 }
 
 bool SchemaGraph::ExtentSubsumedByImpl(ClassId a, ClassId b,
-                                       std::set<ClassId>* in_progress,
                                        bool* tainted) const {
   if (a == b) return true;
-  auto key = std::make_pair(a.value(), b.value());
-  auto hit = extent_cache_.find(key);
-  if (hit != extent_cache_.end()) return hit->second;
-  if (!in_progress->insert(a).second) {
+  const int hit = extent_memo_.Find(a, b);
+  if (hit >= 0) return hit != 0;
+  const ClassSlot* slot = SlotUnlocked(a);
+  if (slot == nullptr) return false;
+  uint8_t& on_stack = in_progress_[a.value()];
+  if (on_stack) {
     *tainted = true;  // pruned by the cycle guard: path-dependent answer
     return false;
   }
+  on_stack = 1;
   bool local_tainted = false;
-  auto node_or = GetClassUnlocked(a);
-  if (!node_or.ok()) {
-    in_progress->erase(a);
-    return false;
-  }
-  const ClassNode* node = node_or.value();
+  const Derivation& da = slot->node.derivation;
   bool result = false;
-  if (node->derivation.op == DerivationOp::kUnion) {
+  if (da.op == DerivationOp::kUnion) {
     // union(A,B) ⊆ b  iff  A ⊆ b and B ⊆ b.
-    result = ExtentSubsumedByImpl(node->derivation.sources[0], b, in_progress,
-                                  &local_tainted) &&
-             ExtentSubsumedByImpl(node->derivation.sources[1], b, in_progress,
-                                  &local_tainted);
+    result = ExtentSubsumedByImpl(da.sources[0], b, &local_tainted) &&
+             ExtentSubsumedByImpl(da.sources[1], b, &local_tainted);
   }
   if (!result) {
-    for (ClassId up : DirectExtentUps(a)) {
-      if (ExtentSubsumedByImpl(up, b, in_progress, &local_tainted)) {
+    for (ClassId up : slot->extent_ups) {
+      if (ExtentSubsumedByImpl(up, b, &local_tainted)) {
         result = true;
         break;
       }
@@ -779,54 +848,53 @@ bool SchemaGraph::ExtentSubsumedByImpl(ClassId a, ClassId b,
     //   difference(A, C)    ⊆ difference(B, C')   if A ⊆ B and C' ⊆ C
     //   intersect(A1, A2)   ⊆ intersect(B1, B2)   if A1 ⊆ B1 and A2 ⊆ B2
     // A matching class c is then a *hop*: a ⊆ c, so a ⊆ b when c ⊆ b.
-    const Derivation& da = node->derivation;
-    auto same_op = classes_by_op_.find(da.op);
-    if ((da.op == DerivationOp::kSelect ||
-         da.op == DerivationOp::kDifference ||
-         da.op == DerivationOp::kIntersect) &&
-        same_op != classes_by_op_.end()) {
-      for (uint64_t raw : same_op->second) {
-        ClassId c(raw);
-        if (c == a) continue;
-        const Derivation& dc = classes_.at(raw).derivation;
-        bool premise = false;
-        switch (da.op) {
-          case DerivationOp::kSelect:
-            premise = da.predicate == dc.predicate &&
-                      ExtentSubsumedByImpl(da.sources[0], dc.sources[0],
-                                           in_progress, &local_tainted);
-            break;
-          case DerivationOp::kDifference:
-            premise = ExtentSubsumedByImpl(da.sources[0], dc.sources[0],
-                                           in_progress, &local_tainted) &&
-                      ExtentSubsumedByImpl(dc.sources[1], da.sources[1],
-                                           in_progress, &local_tainted);
-            break;
-          case DerivationOp::kIntersect:
-            premise = ExtentSubsumedByImpl(da.sources[0], dc.sources[0],
-                                           in_progress, &local_tainted) &&
-                      ExtentSubsumedByImpl(da.sources[1], dc.sources[1],
-                                           in_progress, &local_tainted);
-            break;
-          default:
-            break;
-        }
-        if (premise &&
-            (c == b ||
-             ExtentSubsumedByImpl(c, b, in_progress, &local_tainted))) {
-          result = true;
+    // Candidates are tried in id order; a select with another predicate
+    // fails its premise before any recursion, so scanning only the
+    // predicate's group explores exactly what scanning every select
+    // would.
+    const std::vector<StructuralRow>* rows = nullptr;
+    if (da.op == DerivationOp::kSelect) {
+      auto group = selects_by_predicate_.find(da.predicate.get());
+      if (group != selects_by_predicate_.end()) rows = &group->second;
+    } else if (da.op == DerivationOp::kDifference) {
+      rows = &differences_;
+    } else if (da.op == DerivationOp::kIntersect) {
+      rows = &intersects_;
+    }
+    for (size_t i = 0; rows != nullptr && i < rows->size(); ++i) {
+      const StructuralRow c = (*rows)[i];
+      if (c.id == a) continue;
+      bool premise = false;
+      switch (da.op) {
+        case DerivationOp::kSelect:
+          premise = ExtentSubsumedByImpl(da.sources[0], c.src0,
+                                         &local_tainted);
           break;
-        }
+        case DerivationOp::kDifference:
+          premise =
+              ExtentSubsumedByImpl(da.sources[0], c.src0, &local_tainted) &&
+              ExtentSubsumedByImpl(c.src1, da.sources[1], &local_tainted);
+          break;
+        case DerivationOp::kIntersect:
+          premise =
+              ExtentSubsumedByImpl(da.sources[0], c.src0, &local_tainted) &&
+              ExtentSubsumedByImpl(da.sources[1], c.src1, &local_tainted);
+          break;
+        default:
+          break;
+      }
+      if (premise &&
+          (c.id == b || ExtentSubsumedByImpl(c.id, b, &local_tainted))) {
+        result = true;
+        break;
       }
     }
   }
-  in_progress->erase(a);
+  on_stack = 0;
   // Memoize: positives always; negatives only when no cycle guard
   // pruned the exploration (a tainted negative could become positive on
   // a different call path).
-  if (result || !local_tainted) {
-    extent_cache_.emplace(key, result);
-  }
+  if (result || !local_tainted) extent_memo_.Insert(a, b, result);
   if (local_tainted) *tainted = true;
   return result;
 }
@@ -847,14 +915,32 @@ bool SchemaGraph::IsaSubsumedBy(ClassId a, ClassId b) const {
 bool SchemaGraph::IsaSubsumedByLocked(ClassId a, ClassId b) const {
   auto ta = TypeRefLocked(a);
   auto tb = TypeRefLocked(b);
-  if (!ta.ok() || !tb.ok() || !ta.value()->CoversNamesOf(*tb.value())) {
-    return false;
-  }
-  return ExtentSubsumedByLocked(a, b);
+  if (!ta.ok() || !tb.ok()) return false;
+  return IsaSubsumedByLocked(a, *ta.value(), b, *tb.value());
+}
+
+bool SchemaGraph::IsaSubsumedByLocked(ClassId a, const TypeSet& type_a,
+                                      ClassId b,
+                                      const TypeSet& type_b) const {
+  return type_a.CoversNamesOf(type_b) && ExtentSubsumedByLocked(a, b);
+}
+
+const ClassNode* SchemaGraph::ReadHold::Find(ClassId cls) const {
+  const ClassSlot* slot = graph_.SlotUnlocked(cls);
+  return slot == nullptr ? nullptr : &slot->node;
+}
+
+bool SchemaGraph::ReadHold::ExtentEquivalent(ClassId a, ClassId b) const {
+  if (a != b && !graph_.BothPresentLocked(a, b)) return false;
+  return graph_.ExtentEquivalentLocked(a, b);
 }
 
 bool SchemaGraph::IsDuplicateOf(ClassId a, ClassId b) const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  return IsDuplicateOfLocked(a, b);
+}
+
+bool SchemaGraph::IsDuplicateOfLocked(ClassId a, ClassId b) const {
   if (a == b) return false;
   auto ta = TypeRefLocked(a);
   auto tb = TypeRefLocked(b);
@@ -970,18 +1056,19 @@ Result<std::set<ClassId>> SchemaGraph::TransitiveSubs(ClassId cls) const {
 
 Status SchemaGraph::RestoreProperty(PropertyDef def) {
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
-  if (!def.id.valid() || props_.count(def.id.value())) {
+  if (!def.id.valid() || GetPropertyUnlocked(def.id).ok()) {
     return Status::InvalidArgument(
         StrCat("cannot restore property ", def.id.ToString()));
   }
-  prop_alloc_.BumpPast(def.id);
-  props_.emplace(def.id.value(), std::move(def));
+  const PropertyDefId id = def.id;
+  TSE_RETURN_IF_ERROR(InstallPropertyUnlocked(std::move(def)));
+  prop_alloc_.BumpPast(id);
   return Status::OK();
 }
 
 Status SchemaGraph::RestoreClass(ClassNode node) {
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
-  if (!node.id.valid() || classes_.count(node.id.value())) {
+  if (!node.id.valid() || SlotUnlocked(node.id) != nullptr) {
     return Status::InvalidArgument(
         StrCat("cannot restore class ", node.id.ToString()));
   }
@@ -994,16 +1081,12 @@ Status SchemaGraph::RestoreClass(ClassNode node) {
   }
   node.subs.clear();  // rebuilt from later classes' supers
   ClassId id = node.id;
+  const std::vector<ClassId> supers(node.supers.begin(), node.supers.end());
+  TSE_RETURN_IF_ERROR(InstallClassUnlocked(std::move(node)));
   class_alloc_.BumpPast(id);
-  by_name_[node.name] = id;
-  for (ClassId src : node.derivation.sources) {
-    derived_index_[src.value()].push_back(id);
+  for (ClassId sup : supers) {
+    SlotUnlocked(sup)->node.subs.insert(id);
   }
-  for (ClassId sup : node.supers) {
-    classes_.at(sup.value()).subs.insert(id);
-  }
-  if (!node.is_base()) classes_by_op_[node.derivation.op].insert(id.value());
-  classes_.emplace(id.value(), std::move(node));
   // Same monotone-addition argument as AddBaseClass/AddVirtualClass.
   generation_.fetch_add(1, std::memory_order_acq_rel);
   BumpClassVersion(id);
@@ -1019,15 +1102,18 @@ void SchemaGraph::RestoreAllocators(uint64_t class_next, uint64_t prop_next) {
 std::vector<const PropertyDef*> SchemaGraph::AllProperties() const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   std::vector<const PropertyDef*> out;
-  out.reserve(props_.size());
-  for (const auto& [_, def] : props_) out.push_back(&def);
+  for (const auto& def : props_) {
+    if (def) out.push_back(def.get());
+  }
   return out;
 }
 
 std::string SchemaGraph::ToDot() const {
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   std::string out = "digraph schema {\n";
-  for (const auto& [raw, node] : classes_) {
+  for (const auto& slot : table_) {
+    if (!slot) continue;
+    const ClassNode& node = slot->node;
     out += StrCat("  \"", node.name, "\" [shape=",
                   node.is_base() ? "box" : "ellipse", "];\n");
     for (ClassId sup : node.supers) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
@@ -31,29 +32,45 @@ namespace tse::schema {
 /// and declared base edges (not from the current database state), and
 /// type containment from effective types.
 ///
+/// ## Tables
+///
+/// Classes and property definitions live in dense tables indexed by id
+/// (ids are never reused, so a removed class leaves a hole). Each class
+/// row also carries what the subsumption kernel reads on every proof
+/// step: its one-step extent-up adjacency (kept up to date when a class
+/// is added, removed or restored), the virtual classes derived from it,
+/// its version stamp and its memoized effective type. The extent memo
+/// is a flat open-addressing table keyed by the class pair, and the
+/// proof's cycle guard is a flag per class id.
+///
 /// ## Thread safety
 ///
 /// The graph is internally synchronized so that any number of reader
 /// threads may run concurrently with one mutating (DDL) thread — the
 /// foundation of the online schema-change path (DESIGN.md §10):
 ///
-///   - `graph_mu_` guards the structural state (classes, properties,
-///     name index, derived index, per-class versions). Public readers
-///     take it shared; mutators take it exclusive. Internal helpers use
-///     *Unlocked variants so a public method never re-enters the lock.
-///   - `memo_mu_` guards the two lazily-filled memo caches; it nests
-///     strictly *inside* graph_mu_.
+///   - `graph_mu_` guards the structural state (the class and property
+///     tables, name index, per-op rows). Public readers take it shared;
+///     mutators take it exclusive. Internal helpers use *Unlocked /
+///     *Locked variants so a public method never re-enters the lock.
+///     A batch of queries takes it once through a `ReadHold`.
+///   - `memo_mu_` guards the extent memo and the cycle guard, and the
+///     fills of the type memo; it nests strictly *inside* graph_mu_.
+///     A filled type memo entry is published through an atomic pointer
+///     in its class row and read without memo_mu_: entries are never
+///     overwritten and are dropped only under graph_mu_ exclusive.
 ///   - `generation_` / `invalidate_floor_` / `removals_` are atomics
 ///     readable without any lock (extent caches poll them on their hot
 ///     path).
 ///
 /// Returned `const ClassNode*` / `const PropertyDef*` pointers are
-/// stable: nodes live in node-based maps and only *unpublished*
-/// duplicate virtual classes (never reachable from a registered view)
-/// are ever removed. The immutable parts of a node (derivation op,
-/// sources, predicate, name) are safe to read through such a pointer;
-/// fields mutated after publication (classified supers/subs, the union
-/// create-target) must be read through the locked accessors.
+/// stable: rows are heap-allocated and only *unpublished* duplicate
+/// virtual classes (never reachable from a registered view) are ever
+/// removed. The immutable parts of a node (derivation op, sources,
+/// predicate, name) are safe to read through such a pointer; fields
+/// mutated after publication (classified supers/subs, the union
+/// create-target) must be read through the locked accessors or under a
+/// ReadHold.
 class SchemaGraph {
  public:
   /// Constructs a graph containing only the system root class "OBJECT"
@@ -216,6 +233,55 @@ class SchemaGraph {
   /// Debug rendering of the classified DAG.
   std::string ToDot() const;
 
+  // --- Batched reads ------------------------------------------------------
+
+  /// A shared hold of the graph latch for a batch of queries: a placement
+  /// search or a view generation takes it once and then reads class rows,
+  /// types and subsumption answers with no further graph latching. The
+  /// answers are exactly those of the public one-call queries. While a
+  /// hold is alive its thread must not call the graph's public methods
+  /// (they would take the latch again) and nothing may mutate the graph.
+  class ReadHold {
+   public:
+    explicit ReadHold(const SchemaGraph& graph)
+        : graph_(graph), lock_(graph.graph_mu_) {}
+    ReadHold(const ReadHold&) = delete;
+    ReadHold& operator=(const ReadHold&) = delete;
+
+    /// The class's node, or nullptr when `cls` is not in the graph. Its
+    /// supers/subs are stable while the hold is alive.
+    const ClassNode* Find(ClassId cls) const;
+    /// One past the largest class id the table has room for: sizes
+    /// id-indexed scratch arrays.
+    size_t id_bound() const { return graph_.table_.size(); }
+    ClassId root() const { return graph_.root_; }
+
+    /// The memoized effective type, by reference.
+    Result<const TypeSet*> Type(ClassId cls) const {
+      return graph_.TypeRefLocked(cls);
+    }
+    Result<const PropertyDef*> Property(PropertyDefId id) const {
+      return graph_.GetPropertyUnlocked(id);
+    }
+
+    bool IsaSubsumedBy(ClassId a, ClassId b) const {
+      return graph_.IsaSubsumedByLocked(a, b);
+    }
+    /// IsaSubsumedBy with both types already fetched through Type().
+    bool IsaSubsumedBy(ClassId a, const TypeSet& type_a, ClassId b,
+                       const TypeSet& type_b) const {
+      return graph_.IsaSubsumedByLocked(a, type_a, b, type_b);
+    }
+    bool ExtentEquivalent(ClassId a, ClassId b) const;
+    bool IsDuplicateOf(ClassId a, ClassId b) const {
+      return graph_.IsDuplicateOfLocked(a, b);
+    }
+
+   private:
+    const SchemaGraph& graph_;
+    std::shared_lock<std::shared_mutex> lock_;
+  };
+
   // --- Catalog restore (used by schema::CatalogIO only) -------------------
 
   /// Reinstates a persisted property definition verbatim.
@@ -238,12 +304,80 @@ class SchemaGraph {
   std::vector<const PropertyDef*> AllProperties() const;
 
  private:
+  /// Class ids (and property ids) at or above this are refused, so the
+  /// dense tables stay bounded and a class pair packs into one memo key.
+  static constexpr uint64_t kMaxIds = uint64_t{1} << 24;
+
+  /// One class's row in the dense class table.
+  struct ClassSlot {
+    ClassNode node;
+    /// class_version(); 0 until first stamped.
+    uint64_t version = 0;
+    /// The one-step provable "extent ⊆" targets, in proof order: the
+    /// class's own (base → declared supers; select/hide/refine/
+    /// difference → first source; intersect → both sources), then the
+    /// hide, refine and union classes derived from it, in creation
+    /// order (a union over the class twice is listed twice).
+    std::vector<ClassId> extent_ups;
+    /// Virtual classes listing this class as a derivation source, in
+    /// creation order (one entry per listing).
+    std::vector<ClassId> derived;
+    /// The type memo. `type` is published with release after `type_owner`
+    /// is filled under memo_mu_ exclusive, and read with acquire without
+    /// memo_mu_; both are cleared only under graph_mu_ exclusive.
+    std::unique_ptr<const TypeSet> type_owner;
+    std::atomic<const TypeSet*> type{nullptr};
+  };
+
+  /// A like-derived class the structural subsumption rules compare with:
+  /// its id and sources, copied out of its node.
+  struct StructuralRow {
+    ClassId id;
+    ClassId src0;
+    ClassId src1;
+  };
+
+  /// ExtentSubsumedBy memo: an open-addressing table (linear probing)
+  /// from a class pair to its answer. Entries are never erased. Guarded
+  /// by memo_mu_.
+  class PairMemo {
+   public:
+    /// 1 or 0 for a memoized answer, -1 when the pair is absent.
+    int Find(ClassId a, ClassId b) const;
+    /// Records an answer unless the pair already has one.
+    void Insert(ClassId a, ClassId b, bool value);
+
+   private:
+    /// Only ids below kMaxIds pack into a key. A pair outside that range
+    /// names no class (a query of one against itself) and is not
+    /// memoized.
+    static bool Fits(ClassId a, ClassId b) {
+      return a.value() < kMaxIds && b.value() < kMaxIds;
+    }
+    /// Both ids side by side, shifted left to leave bit 0 for the answer.
+    static uint64_t Key(ClassId a, ClassId b) {
+      return (a.value() << 24 | b.value()) << 1;
+    }
+    size_t Home(uint64_t key) const {
+      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    void Grow();
+
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
+    /// (Key | answer) per slot, kEmpty when free.
+    std::vector<uint64_t> slots_;
+    size_t size_ = 0;
+    int shift_ = 64;
+  };
+
   // Unlocked structural accessors: require graph_mu_ held (shared for
   // reads, exclusive for GetMutable).
+  ClassSlot* SlotUnlocked(ClassId id) const {
+    return id.value() < table_.size() ? table_[id.value()].get() : nullptr;
+  }
   Result<const ClassNode*> GetClassUnlocked(ClassId id) const;
   Result<const PropertyDef*> GetPropertyUnlocked(PropertyDefId id) const;
   Result<ClassNode*> GetMutable(ClassId id);
-  std::vector<ClassId> DerivedFromUnlocked(ClassId cls) const;
   /// Rejects a derivation the evaluators cannot run: an op outside
   /// DerivationOp, a source count that does not fit the op (none for
   /// base, two for union/intersect/difference, one otherwise), a source
@@ -252,6 +386,14 @@ class SchemaGraph {
   /// the derivation graph stays acyclic.
   Status ValidateDerivation(const Derivation& derivation) const;
 
+  /// Puts `node` into the class table with its name, derived-from
+  /// listings, extent-up adjacency (its own and its sources') and
+  /// structural row. The caller has validated it and wires is-a edges.
+  /// Requires graph_mu_ exclusive.
+  Status InstallClassUnlocked(ClassNode node);
+  /// Installs a property definition. Requires graph_mu_ exclusive.
+  Status InstallPropertyUnlocked(PropertyDef def);
+
   // Unlocked mutators backing the public ones (AddRefineClass composes
   // them under one exclusive section). Require graph_mu_ exclusive.
   Result<ClassId> AddVirtualClassUnlocked(const std::string& name,
@@ -259,15 +401,18 @@ class SchemaGraph {
   Result<PropertyDefId> DefinePropertyUnlocked(const PropertySpec& spec,
                                                ClassId definer);
   Status RemoveClassUnlocked(ClassId cls);
+  /// Drops the type memo of one class (nullptr: of every class).
+  /// Requires graph_mu_ exclusive.
+  void DropTypesUnlocked(ClassSlot* only);
 
   // Locked-query internals: require graph_mu_ held (shared or
   // exclusive); acquire memo_mu_ themselves.
   Result<TypeSet> EffectiveTypeLocked(ClassId cls) const;
   /// The memoized effective type of `cls` by reference, filling the memo
   /// on a miss. The pointer stays valid while graph_mu_ is held (shared
-  /// suffices): type_cache_ is a node-based map whose entries are never
-  /// overwritten, and are erased only under graph_mu_ exclusive
-  /// (AddRefineClass, AddLocalProperty, RenameProperty, RemoveClass).
+  /// suffices): entries are never overwritten, and are dropped only under
+  /// graph_mu_ exclusive (AddRefineClass, AddLocalProperty,
+  /// RenameProperty, RemoveClass). A hit takes no latch.
   Result<const TypeSet*> TypeRefLocked(ClassId cls) const;
   /// True when both classes exist. Requires graph_mu_ held.
   bool BothPresentLocked(ClassId a, ClassId b) const;
@@ -276,27 +421,23 @@ class SchemaGraph {
     return ExtentSubsumedByLocked(a, b) && ExtentSubsumedByLocked(b, a);
   }
   bool IsaSubsumedByLocked(ClassId a, ClassId b) const;
+  bool IsaSubsumedByLocked(ClassId a, const TypeSet& type_a, ClassId b,
+                           const TypeSet& type_b) const;
+  bool IsDuplicateOfLocked(ClassId a, ClassId b) const;
   /// IsDuplicateOf's structural rule for refine classes whose types
   /// differ only in freshly allocated, structurally identical
   /// definitions. Requires graph_mu_ held.
   bool RefineTwinsLocked(ClassId a, ClassId b) const;
 
-  /// One-step provable "extent ⊆" targets of `cls` (select → source,
-  /// base → declared supers, plus extent-preserving derived classes).
-  /// Requires graph_mu_ held.
-  std::vector<ClassId> DirectExtentUps(ClassId cls) const;
-
   /// `tainted` is set when the computation was pruned by the cycle
   /// guard; tainted *negative* results are path-dependent and must not
   /// be cached (positive results are always sound to cache). Requires
   /// graph_mu_ held and memo_mu_ held exclusive (reads and fills
-  /// extent_cache_ freely).
-  bool ExtentSubsumedByImpl(ClassId a, ClassId b,
-                            std::set<ClassId>* in_progress,
-                            bool* tainted) const;
+  /// extent_memo_ and in_progress_ freely).
+  bool ExtentSubsumedByImpl(ClassId a, ClassId b, bool* tainted) const;
 
-  /// Requires graph_mu_ held and memo_mu_ held exclusive (reads and
-  /// fills type_cache_).
+  /// Requires graph_mu_ held and memo_mu_ held exclusive (fills the
+  /// type memo).
   Status ComputeType(ClassId cls, TypeSet* out,
                      std::set<ClassId>* in_progress) const;
 
@@ -317,44 +458,35 @@ class SchemaGraph {
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> invalidate_floor_{0};
   std::atomic<uint64_t> removals_{0};
-  /// Guards every structural member below (classes_, props_, by_name_,
-  /// derived_index_, classes_by_op_, class_versions_). Readers shared,
-  /// mutators exclusive; acquired *before* memo_mu_ everywhere.
+  /// Guards every structural member below (the class and property
+  /// tables, by_name_, the structural rows). Readers shared, mutators
+  /// exclusive; acquired *before* memo_mu_ everywhere.
   mutable std::shared_mutex graph_mu_;
-  /// ClassId.value() -> class_version().
-  std::unordered_map<uint64_t, uint64_t> class_versions_;
-  /// Guards the two memo caches below, which are filled lazily during
-  /// logically-const queries and may therefore race when many sessions
-  /// read one schema concurrently. Hits take the lock shared; memo
-  /// fills and invalidations take it exclusive. Nested strictly inside
-  /// graph_mu_.
+  /// Guards extent_memo_, in_progress_ and type memo fills. Hits on the
+  /// extent memo take it shared; proofs and fills take it exclusive.
+  /// Nested strictly inside graph_mu_.
   mutable std::shared_mutex memo_mu_;
-  /// Hash of an ExtentSubsumedBy memo key: both full class ids.
-  struct ClassPairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t>& key) const {
-      return std::hash<uint64_t>{}(key.first * 0x9E3779B97F4A7C15ULL ^
-                                   key.second);
-    }
-  };
-  /// ExtentSubsumedBy memo, keyed by (a, b). Class additions keep it
-  /// (they cannot flip an existing answer); removals leave their entries
-  /// behind unreachable (see RemoveClassUnlocked).
-  mutable std::unordered_map<std::pair<uint64_t, uint64_t>, bool,
-                             ClassPairHash>
-      extent_cache_;
-  /// EffectiveType memo; invalidated on structural changes, local
-  /// property additions, refine-class finalization, and renames (all
-  /// under graph_mu_ exclusive, which keeps TypeRefLocked's pointers
-  /// valid for any holder of graph_mu_).
-  mutable std::map<uint64_t, TypeSet> type_cache_;
-  std::map<uint64_t, ClassNode> classes_;
-  std::map<uint64_t, PropertyDef> props_;
+  /// Class additions keep the memo (they cannot flip an existing
+  /// answer); removals leave their entries behind unreachable (see
+  /// RemoveClassUnlocked).
+  mutable PairMemo extent_memo_;
+  /// The proof's cycle guard: 1 while a class is on the proof stack.
+  /// Sized with table_ (under graph_mu_ exclusive).
+  mutable std::vector<uint8_t> in_progress_;
+  /// ClassId.value() -> row; nullptr for removed and unallocated ids.
+  std::vector<std::unique_ptr<ClassSlot>> table_;
+  size_t class_count_ = 0;
+  /// PropertyDefId.value() -> definition; nullptr for removed ones.
+  std::vector<std::unique_ptr<PropertyDef>> props_;
   std::unordered_map<std::string, ClassId> by_name_;
-  /// cls -> virtual classes listing it as a derivation source.
-  std::unordered_map<uint64_t, std::vector<ClassId>> derived_index_;
-  /// Derivation op -> the virtual classes derived by it, in id order:
-  /// the structural subsumption rules only compare like-derived classes.
-  std::map<DerivationOp, std::set<uint64_t>> classes_by_op_;
+  /// The structural subsumption rules only compare like-derived classes;
+  /// these rows list them in id order. Selects are grouped by predicate
+  /// identity: the select rule needs the very same predicate, so only
+  /// the group is scanned.
+  std::unordered_map<const objmodel::MethodExpr*, std::vector<StructuralRow>>
+      selects_by_predicate_;
+  std::vector<StructuralRow> differences_;
+  std::vector<StructuralRow> intersects_;
 };
 
 }  // namespace tse::schema

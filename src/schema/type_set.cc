@@ -1,12 +1,23 @@
 #include "schema/type_set.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/str_util.h"
 
 namespace tse::schema {
 
+uint64_t TypeSet::NameBit(const std::string& name) {
+  return uint64_t{1} << (std::hash<std::string>{}(name) & 63);
+}
+
+void TypeSet::RecomputeSignature() {
+  name_signature_ = 0;
+  for (const auto& [name, _] : props_) name_signature_ |= NameBit(name);
+}
+
 void TypeSet::Add(const std::string& name, PropertyDefId def) {
+  name_signature_ |= NameBit(name);
   std::vector<PropertyDefId>& defs = props_[name];
   if (std::find(defs.begin(), defs.end(), def) == defs.end()) {
     defs.push_back(def);
@@ -15,11 +26,14 @@ void TypeSet::Add(const std::string& name, PropertyDefId def) {
 }
 
 void TypeSet::Override(const std::string& name, PropertyDefId def) {
+  name_signature_ |= NameBit(name);
   props_[name] = {def};
 }
 
 bool TypeSet::RemoveName(const std::string& name) {
-  return props_.erase(name) > 0;
+  if (props_.erase(name) == 0) return false;
+  RecomputeSignature();
+  return true;
 }
 
 bool TypeSet::Remove(const std::string& name, PropertyDefId def) {
@@ -29,7 +43,10 @@ bool TypeSet::Remove(const std::string& name, PropertyDefId def) {
   auto dit = std::find(defs.begin(), defs.end(), def);
   if (dit == defs.end()) return false;
   defs.erase(dit);
-  if (defs.empty()) props_.erase(it);
+  if (defs.empty()) {
+    props_.erase(it);
+    RecomputeSignature();
+  }
   return true;
 }
 
@@ -90,8 +107,10 @@ std::vector<std::string> TypeSet::Names() const {
 
 bool TypeSet::CoversNamesOf(const TypeSet& other) const {
   // Both maps hold distinct names in sorted order: fewer names cannot
-  // cover more, and otherwise one merge pass decides.
+  // cover more, a name whose signature bit is missing here cannot be
+  // here, and otherwise one merge pass decides.
   if (other.props_.size() > props_.size()) return false;
+  if ((other.name_signature_ & ~name_signature_) != 0) return false;
   auto mine = props_.begin();
   for (const auto& [name, _] : other.props_) {
     while (mine != props_.end() && mine->first < name) ++mine;

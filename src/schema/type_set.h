@@ -1,6 +1,7 @@
 #ifndef TSE_SCHEMA_TYPE_SET_H_
 #define TSE_SCHEMA_TYPE_SET_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,11 +58,21 @@ class TypeSet {
   std::vector<std::string> Names() const;
 
   /// True when this type has every *name* of `other` (the subtype check
-  /// used for is-a classification; overriding defs still count).
+  /// used for is-a classification; overriding defs still count). Most
+  /// failures are decided by the name signatures alone, without a string
+  /// compare.
   bool CoversNamesOf(const TypeSet& other) const;
 
+  /// The signature bit of `name`: one of 64, from a hash of the name.
+  static uint64_t NameBit(const std::string& name);
+
+  /// The OR of NameBit over every name in the set. A set covers the
+  /// names of another only if its signature has all of the other's bits.
+  uint64_t name_signature() const { return name_signature_; }
+
   /// True when the (name, def) binding sets are identical (the strict
-  /// equality used for duplicate-class detection).
+  /// equality used for duplicate-class detection). The signature is a
+  /// function of the names, so equal bindings have equal signatures.
   friend bool operator==(const TypeSet& a, const TypeSet& b) {
     return a.props_ == b.props_;
   }
@@ -78,7 +89,12 @@ class TypeSet {
   }
 
  private:
+  /// Recomputes name_signature_ after a name left the set (another name
+  /// may share its bit).
+  void RecomputeSignature();
+
   std::map<std::string, std::vector<PropertyDefId>> props_;
+  uint64_t name_signature_ = 0;
 };
 
 }  // namespace tse::schema

@@ -13,18 +13,28 @@ namespace tse::view {
 Result<ViewId> ViewManager::CreateVersion(
     const std::string& logical_name,
     const std::vector<ViewClassSpec>& classes) {
+  Generated generated;
+  {
+    const schema::SchemaGraph::ReadHold graph(*schema_);
+    TSE_ASSIGN_OR_RETURN(generated, Generate(graph, classes));
+  }
+  return Register(logical_name, generated);
+}
+
+Result<ViewManager::Generated> ViewManager::Generate(
+    const schema::SchemaGraph::ReadHold& graph,
+    const std::vector<ViewClassSpec>& classes) const {
   if (classes.empty()) {
     return Status::InvalidArgument("a view needs at least one class");
   }
-  // Everything that reads the schema graph (validation, subsumption
-  // queries for edge generation) runs before mu_ is taken; only the
-  // registration itself needs the exclusive section.
   std::set<ClassId> selected;
   std::set<std::string> names_seen;
-  std::vector<std::pair<ClassId, std::string>> members;
+  Generated out;
   for (const ViewClassSpec& spec : classes) {
-    TSE_ASSIGN_OR_RETURN(const schema::ClassNode* node,
-                         schema_->GetClass(spec.cls));
+    const schema::ClassNode* node = graph.Find(spec.cls);
+    if (node == nullptr) {
+      return Status::NotFound(StrCat("class id ", spec.cls.ToString()));
+    }
     if (!selected.insert(spec.cls).second) {
       return Status::InvalidArgument(
           StrCat("class ", node->name, " selected twice"));
@@ -35,51 +45,73 @@ Result<ViewId> ViewManager::CreateVersion(
       return Status::InvalidArgument(
           StrCat("duplicate display name '", display, "' in view"));
     }
-    members.emplace_back(spec.cls, std::move(display));
+    out.members.emplace_back(spec.cls, std::move(display));
   }
 
   // View schema generation: a -> b direct iff a ⊑ b with no selected
   // class strictly between. One subsumption query per ordered pair fills
-  // `sub[i][j]` (= order[i] ⊑ order[j]); the reduction reads the matrix.
+  // `sub[i * n + j]` (= order[i] ⊑ order[j]); the reduction reads the
+  // matrix. Each class's type is fetched once, so most pairs are decided
+  // by comparing name signatures.
   const std::vector<ClassId> order(selected.begin(), selected.end());
   const size_t n = order.size();
-  std::vector<std::vector<bool>> sub(n, std::vector<bool>(n, false));
+  std::vector<const schema::TypeSet*> types(n, nullptr);
   for (size_t i = 0; i < n; ++i) {
+    types[i] = graph.Type(order[i]).value_or(nullptr);
+  }
+  std::vector<uint8_t> sub(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (types[i] == nullptr) continue;
     for (size_t j = 0; j < n; ++j) {
-      if (i != j) sub[i][j] = schema_->IsaSubsumedBy(order[i], order[j]);
+      if (i == j || types[j] == nullptr) continue;
+      sub[i * n + j] =
+          graph.IsaSubsumedBy(order[i], *types[i], order[j], *types[j]);
     }
   }
-  std::vector<std::pair<ClassId, ClassId>> edges;
+  auto is_sub = [&](size_t a, size_t b) { return sub[a * n + b] != 0; };
   for (size_t a = 0; a < n; ++a) {
     for (size_t b = 0; b < n; ++b) {
-      if (a == b || !sub[a][b]) continue;
+      if (a == b || !is_sub(a, b)) continue;
       // Extensionally equivalent classes selected together: order by id
       // for determinism (lower id, hence lower index, is the upper class).
-      if (sub[b][a] && b < a) continue;
+      if (is_sub(b, a) && b < a) continue;
       bool direct = true;
       for (size_t c = 0; c < n; ++c) {
         if (c == a || c == b) continue;
-        if (sub[a][c] && sub[c][b] && !sub[c][a] && !sub[b][c]) {
+        if (is_sub(a, c) && is_sub(c, b) && !is_sub(c, a) && !is_sub(b, c)) {
           direct = false;
           break;
         }
       }
-      if (direct) edges.emplace_back(order[a], order[b]);
+      if (direct) out.edges.emplace_back(order[a], order[b]);
     }
   }
+  return out;
+}
 
+ViewId ViewManager::Register(const std::string& logical_name,
+                             const Generated& generated) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   int version = static_cast<int>(history_[logical_name].size()) + 1;
   ViewId id = view_alloc_.Allocate();
   auto view = std::make_unique<ViewSchema>(id, logical_name, version);
-  for (const auto& [cls, display] : members) view->AddClass(cls, display);
-  for (const auto& [a, b] : edges) view->AddEdge(a, b);
+  for (const auto& [cls, display] : generated.members) {
+    view->AddClass(cls, display);
+  }
+  for (const auto& [a, b] : generated.edges) view->AddEdge(a, b);
   views_.emplace(id.value(), std::move(view));
   history_[logical_name].push_back(id);
   return id;
 }
 
 Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
+    const std::vector<ViewClassSpec>& classes) const {
+  const schema::SchemaGraph::ReadHold graph(*schema_);
+  return TypeClosureMissing(graph, classes);
+}
+
+Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
+    const schema::SchemaGraph::ReadHold& graph,
     const std::vector<ViewClassSpec>& classes) const {
   std::set<ClassId> selected;
   for (const ViewClassSpec& spec : classes) selected.insert(spec.cls);
@@ -92,11 +124,11 @@ Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
     ClassId cls = queue.front();
     queue.pop_front();
     if (!processed.insert(cls).second) continue;
-    TSE_ASSIGN_OR_RETURN(schema::TypeSet type, schema_->EffectiveType(cls));
-    for (const auto& [name, defs] : type.bindings()) {
+    TSE_ASSIGN_OR_RETURN(const schema::TypeSet* type, graph.Type(cls));
+    for (const auto& [name, defs] : type->bindings()) {
       for (PropertyDefId def_id : defs) {
         TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
-                             schema_->GetProperty(def_id));
+                             graph.Property(def_id));
         if (def->value_type != objmodel::ValueType::kRef ||
             !def->ref_target.valid()) {
           continue;
@@ -107,7 +139,7 @@ Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
         // satisfies the reference (e.g. a primed substitute).
         bool substituted = false;
         for (ClassId sel : selected) {
-          if (schema_->ExtentEquivalent(sel, target)) {
+          if (graph.ExtentEquivalent(sel, target)) {
             substituted = true;
             break;
           }
@@ -125,16 +157,23 @@ Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
 Result<ViewId> ViewManager::CreateVersionClosed(
     const std::string& logical_name,
     const std::vector<ViewClassSpec>& classes) {
-  // The view-generation step of the TSEM pipeline.
+  // The view-generation step of the TSEM pipeline. Closure and the
+  // subsumption matrix read the schema under one shared hold, released
+  // before the registration takes mu_.
   TSE_TRACE_SPAN("view.regenerate");
-  TSE_ASSIGN_OR_RETURN(std::vector<ClassId> missing,
-                       TypeClosureMissing(classes));
-  std::vector<ViewClassSpec> complete = classes;
-  for (ClassId cls : missing) {
-    complete.push_back(ViewClassSpec{cls, ""});
+  Generated generated;
+  {
+    const schema::SchemaGraph::ReadHold graph(*schema_);
+    TSE_ASSIGN_OR_RETURN(std::vector<ClassId> missing,
+                         TypeClosureMissing(graph, classes));
+    std::vector<ViewClassSpec> complete = classes;
+    for (ClassId cls : missing) {
+      complete.push_back(ViewClassSpec{cls, ""});
+    }
+    TSE_ASSIGN_OR_RETURN(generated, Generate(graph, complete));
   }
-  Result<ViewId> created = CreateVersion(logical_name, complete);
-  if (created.ok()) TSE_COUNT("view.versions.created");
+  ViewId created = Register(logical_name, generated);
+  TSE_COUNT("view.versions.created");
   return created;
 }
 

@@ -32,7 +32,9 @@ struct ViewClassSpec {
 /// schema change publishes a new version (DESIGN.md §10). Returned
 /// `const ViewSchema*` pointers are stable — versions are never removed.
 /// Schema reads (subsumption, type closure) happen *before* `mu_` is
-/// taken; the lock order is mu_ → SchemaGraph internals, never reverse.
+/// taken, under one SchemaGraph::ReadHold per generation that is
+/// released before registration; the lock order is mu_ → SchemaGraph
+/// internals, never reverse.
 class ViewManager {
  public:
   explicit ViewManager(const schema::SchemaGraph* schema)
@@ -86,6 +88,24 @@ class ViewManager {
   uint64_t view_alloc_next() const { return view_alloc_.next_raw(); }
 
  private:
+  /// A generated view version before registration: the members with
+  /// their display names and the transitively reduced is-a edges.
+  struct Generated {
+    std::vector<std::pair<ClassId, std::string>> members;
+    std::vector<std::pair<ClassId, ClassId>> edges;
+  };
+
+  /// Validates the selection and generates its hierarchy, reading the
+  /// schema only through `graph`.
+  Result<Generated> Generate(const schema::SchemaGraph::ReadHold& graph,
+                             const std::vector<ViewClassSpec>& classes) const;
+  Result<std::vector<ClassId>> TypeClosureMissing(
+      const schema::SchemaGraph::ReadHold& graph,
+      const std::vector<ViewClassSpec>& classes) const;
+  /// Registers a generated version under mu_.
+  ViewId Register(const std::string& logical_name,
+                  const Generated& generated);
+
   Result<const ViewSchema*> GetViewUnlocked(ViewId id) const;
 
   const schema::SchemaGraph* schema_;

@@ -389,6 +389,129 @@ TEST_F(UniversitySchemaTest, ToDotRendersAllClasses) {
   EXPECT_NE(dot.find("\"Person\" [shape=box]"), std::string::npos);
 }
 
+TEST_F(UniversitySchemaTest, RemovedDuplicateLeavesAHole) {
+  Derivation hide;
+  hide.op = DerivationOp::kHide;
+  hide.sources = {student_};
+  hide.hidden = {"major"};
+  ClassId keep = graph_.AddVirtualClass("Keep", hide).value();
+  ClassId dup = graph_.AddVirtualClass("Dup", hide).value();
+  ClassId after = graph_.AddVirtualClass("After", hide).value();
+  ASSERT_TRUE(graph_.IsDuplicateOf(dup, keep));
+  const size_t before = graph_.class_count();
+  ASSERT_TRUE(graph_.RemoveClass(dup).ok());
+
+  EXPECT_EQ(graph_.class_count(), before - 1);
+  EXPECT_TRUE(graph_.GetClass(dup).status().IsNotFound());
+  EXPECT_FALSE(graph_.HasClass(dup));
+  EXPECT_EQ(graph_.class_version(dup), 0u);
+  EXPECT_TRUE(graph_.EffectiveType(dup).status().IsNotFound());
+  EXPECT_TRUE(graph_.FindClass("Dup").status().IsNotFound());
+  // The hole is skipped, in id order.
+  std::vector<ClassId> all = graph_.AllClasses();
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+  EXPECT_EQ(std::count(all.begin(), all.end(), dup), 0);
+  EXPECT_EQ(graph_.ClassesFrom(dup), (std::vector<ClassId>{after}));
+  EXPECT_EQ(graph_.DerivedFrom(student_), (std::vector<ClassId>{keep, after}));
+  // Proofs neither start from nor pass through the removed class.
+  EXPECT_FALSE(graph_.ExtentSubsumedBy(dup, student_));
+  EXPECT_FALSE(graph_.ExtentSubsumedBy(student_, dup));
+  EXPECT_FALSE(graph_.IsaSubsumedBy(dup, person_));
+  EXPECT_TRUE(graph_.ExtentEquivalent(student_, after));
+  EXPECT_TRUE(graph_.IsaSubsumedBy(student_, after));
+  // Ids are never reused.
+  Derivation sel;
+  sel.op = DerivationOp::kSelect;
+  sel.sources = {student_};
+  sel.predicate = MethodExpr::Lit(Value::Bool(true));
+  ClassId next = graph_.AddVirtualClass("Next", sel).value();
+  EXPECT_LT(after, next);
+}
+
+TEST(SchemaGraphTableTest, IdsOutsideTheTableAreNotFound) {
+  SchemaGraph graph;
+  ClassId a = graph.AddBaseClass("A", {}, {}).value();
+  for (ClassId id : {ClassId(a.value() + 1), ClassId(uint64_t{1} << 40),
+                     ClassId()}) {
+    EXPECT_TRUE(graph.GetClass(id).status().IsNotFound()) << id.ToString();
+    EXPECT_FALSE(graph.HasClass(id));
+    EXPECT_EQ(graph.class_version(id), 0u);
+    EXPECT_TRUE(graph.EffectiveType(id).status().IsNotFound());
+    EXPECT_TRUE(graph.DirectSubs(id).status().IsNotFound());
+    EXPECT_TRUE(graph.DerivedFrom(id).empty());
+    EXPECT_FALSE(graph.ExtentSubsumedBy(id, a));
+    EXPECT_FALSE(graph.ExtentSubsumedBy(a, id));
+    EXPECT_FALSE(graph.IsaSubsumedBy(a, id));
+    EXPECT_FALSE(graph.IsDuplicateOf(id, a));
+    EXPECT_TRUE(graph.ClassesFrom(id).empty());
+    EXPECT_TRUE(graph.GetProperty(PropertyDefId(id.value()))
+                    .status()
+                    .IsNotFound());
+  }
+  EXPECT_EQ(graph.AllClasses(), (std::vector<ClassId>{graph.root(), a}));
+}
+
+TEST(SchemaGraphTableTest, RestoreWithNonContiguousIds) {
+  SchemaGraph graph;
+  PropertyDef ssn;
+  ssn.id = PropertyDefId(9);
+  ssn.name = "ssn";
+  ssn.value_type = ValueType::kInt;
+  ssn.definer = ClassId(4);
+  ASSERT_TRUE(graph.RestoreProperty(ssn).ok());
+  EXPECT_FALSE(graph.RestoreProperty(ssn).ok());
+
+  ClassNode person;
+  person.id = ClassId(4);
+  person.name = "Person";
+  person.local_props = {ssn.id};
+  person.declared_supers = {graph.root()};
+  person.supers = {graph.root()};
+  ASSERT_TRUE(graph.RestoreClass(person).ok());
+  ClassNode student;
+  student.id = ClassId(11);
+  student.name = "Student";
+  student.declared_supers = {person.id};
+  student.supers = {person.id};
+  ASSERT_TRUE(graph.RestoreClass(student).ok());
+  ClassNode picked;
+  picked.id = ClassId(30);
+  picked.name = "Picked";
+  picked.derivation.op = DerivationOp::kSelect;
+  picked.derivation.sources = {student.id};
+  picked.derivation.predicate = MethodExpr::Lit(Value::Bool(true));
+  picked.supers = {student.id};
+  ASSERT_TRUE(graph.RestoreClass(picked).ok());
+  graph.RestoreAllocators(31, 10);
+
+  // A re-restore and an id the tables refuse both fail cleanly.
+  EXPECT_FALSE(graph.RestoreClass(student).ok());
+  ClassNode huge = student;
+  huge.id = ClassId(uint64_t{1} << 40);
+  huge.name = "Huge";
+  EXPECT_EQ(graph.RestoreClass(huge).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(graph.GetClass(huge.id).status().IsNotFound());
+
+  EXPECT_EQ(graph.AllClasses(),
+            (std::vector<ClassId>{graph.root(), person.id, student.id,
+                                  picked.id}));
+  EXPECT_EQ(graph.ClassesFrom(ClassId(5)),
+            (std::vector<ClassId>{student.id, picked.id}));
+  for (uint64_t hole : {1, 5, 12, 29}) {
+    EXPECT_TRUE(graph.GetClass(ClassId(hole)).status().IsNotFound());
+  }
+  EXPECT_TRUE(graph.ExtentSubsumedBy(picked.id, person.id));
+  EXPECT_TRUE(graph.IsaSubsumedBy(picked.id, person.id));
+  EXPECT_FALSE(graph.IsaSubsumedBy(person.id, picked.id));
+  EXPECT_EQ(graph.DirectSubs(student.id).value(),
+            (std::vector<ClassId>{picked.id}));
+  EXPECT_TRUE(graph.EffectiveType(picked.id).value().ContainsName("ssn"));
+  // Allocation continues above the restored ids.
+  ClassId next = graph.AddBaseClass("Next", {student.id}, {}).value();
+  EXPECT_EQ(next, ClassId(31));
+  EXPECT_TRUE(graph.IsaSubsumedBy(next, person.id));
+}
+
 /// Every base and derivation kind over Figure 2's schema, including two
 /// refine twins (the same fresh attribute added twice) and a refine
 /// adding a same-named attribute of another type. Returns the classes
@@ -516,8 +639,9 @@ TEST(SubsumptionOrderTest, PredicatesMatchExtentAndTypeTestsInBothOrders) {
 
 TEST(SubsumptionOrderTest, QueriesRunConcurrentlyWithDdl) {
   // Readers hold pointers into the type memo under the shared graph
-  // latch while a DDL thread defines classes and properties, which
-  // erases memo entries under the exclusive latch. Run under TSan/ASan.
+  // latch, one query at a time and in batches under a ReadHold, while a
+  // DDL thread defines classes and properties, which drops memo entries
+  // under the exclusive latch. Run under TSan/ASan.
   SchemaGraph g;
   std::pair<ClassId, ClassId> twins;
   std::vector<ClassId> cs = BuildZoo(&g, &twins);
@@ -533,6 +657,19 @@ TEST(SubsumptionOrderTest, QueriesRunConcurrentlyWithDdl) {
         (void)g.IsaSubsumedBy(a, b);
         (void)g.IsDuplicateOf(a, b);
         (void)g.ResolveProperty(a, "name");
+        {
+          // A batch under one hold, as a placement search runs: type
+          // memo reads without memo_mu_ race the DDL thread's drops.
+          const SchemaGraph::ReadHold hold(g);
+          auto ta = hold.Type(a);
+          auto tb = hold.Type(b);
+          if (ta.ok() && tb.ok()) {
+            (void)hold.IsaSubsumedBy(a, *ta.value(), b, *tb.value());
+          }
+          (void)hold.ExtentEquivalent(b, a);
+          (void)hold.IsDuplicateOf(b, a);
+          if (const ClassNode* node = hold.Find(a)) (void)node->subs.size();
+        }
         ++i;
         queries.fetch_add(1);
         // Pace the readers: enough to interleave with every DDL step
