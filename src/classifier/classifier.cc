@@ -88,30 +88,6 @@ std::vector<ClassId> Frontier(const SchemaGraph::ReadHold& graph,
   return out;
 }
 
-/// `from` and every class below it in the classified DAG, except
-/// `skip`, in id order.
-std::vector<ClassId> Descendants(const SchemaGraph::ReadHold& graph,
-                                 ClassId from, ClassId skip, Marks* seen,
-                                 std::vector<ClassId>* stack) {
-  seen->NewPass();
-  seen->Insert(from);
-  std::vector<ClassId> out{from};
-  stack->assign(1, from);
-  while (!stack->empty()) {
-    ClassId cur = stack->back();
-    stack->pop_back();
-    for (ClassId sub : Next(graph, cur, /*down=*/true)) {
-      if (seen->Insert(sub)) {
-        out.push_back(sub);
-        stack->push_back(sub);
-      }
-    }
-  }
-  std::erase(out, skip);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace
 
 Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
@@ -171,7 +147,8 @@ Placement SearchPlacement(const SchemaGraph& schema, ClassId cls) {
     }
   }
   std::vector<ClassId> below;
-  for (ClassId cand : Descendants(graph, region, cls, &seen, &stack)) {
+  for (ClassId cand : graph.Reach(region, /*down=*/true)) {
+    if (cand == cls) continue;
     TSE_COUNT("classifier.subsumption.checks");
     if (graph.IsaSubsumedBy(cand, cls)) below.push_back(cand);
   }

@@ -615,6 +615,28 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
                        FirstLineDiff(dot, naive_dot)));
         return report;
       }
+      // View generation walks that DAG; it must wire exactly the edges
+      // the pairwise subsumption matrix wires.
+      if (result.ok()) {
+        const view::ViewSchema* vs = views.GetView(result.value()).value();
+        auto edge = [&](ClassId sub, ClassId sup) {
+          return StrCat(graph.GetClass(sub).value()->name, " -> ",
+                        graph.GetClass(sup).value()->name, "\n");
+        };
+        std::string walked, naive;
+        for (ClassId cls : vs->classes()) {
+          for (ClassId sup : vs->DirectSupers(cls)) walked += edge(cls, sup);
+        }
+        for (const auto& [sub, sup] : NaiveViewEdges(graph, vs->classes())) {
+          naive += edge(sub, sup);
+        }
+        if (walked != naive) {
+          diverge(step, op,
+                  StrCat("view edges differ from the naive matrix's at ",
+                         FirstLineDiff(walked, naive)));
+          return report;
+        }
+      }
     }
     if (!result.ok()) {
       // TSE refused (duplicate name, inherited attribute, cycle, ...);

@@ -63,7 +63,8 @@ struct ExecutorOptions {
   /// whose classifier uses the exhaustive placement scan
   /// (naive_placement.h) instead of the DAG search, and require the same
   /// accept/reject outcome and a byte-identical SchemaGraph::ToDot()
-  /// after every operator.
+  /// after every operator; also require every new view version's edges
+  /// to equal the pairwise subsumption matrix's (NaiveViewEdges).
   bool check_classifier_vs_naive = true;
   /// Test-only divergence plant used to validate the shrinker: accepted
   /// add_attribute changes are mirrored into the oracle under the wrong
@@ -113,6 +114,7 @@ struct RunReport {
 ///   - the intersection-store replica (a third architecture),
 ///   - Theorem 1 updatability of every view class,
 ///   - the classified DAG equals the one the naive classifier builds,
+///     and the view's edges the ones the subsumption matrix derives,
 ///   - rejected operators must leave the view untouched,
 ///   - every historical view version must still evaluate at the end.
 ///

@@ -76,4 +76,33 @@ classifier::Placement NaivePlacement(const schema::SchemaGraph& schema,
   return out;
 }
 
+std::vector<std::pair<ClassId, ClassId>> NaiveViewEdges(
+    const schema::SchemaGraph& schema, const std::set<ClassId>& classes) {
+  const std::vector<ClassId> order(classes.begin(), classes.end());
+  const size_t n = order.size();
+  std::vector<uint8_t> sub(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j) sub[i * n + j] = schema.IsaSubsumedBy(order[i], order[j]);
+    }
+  }
+  auto is_sub = [&](size_t a, size_t b) { return sub[a * n + b] != 0; };
+  std::vector<std::pair<ClassId, ClassId>> edges;
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      if (a == b || !is_sub(a, b)) continue;
+      // Equivalent classes: only the lower id (index) is the subclass.
+      if (is_sub(b, a) && b < a) continue;
+      bool direct = true;
+      for (size_t c = 0; c < n && direct; ++c) {
+        if (c == a || c == b) continue;
+        direct = !(is_sub(a, c) && is_sub(c, b) && !is_sub(c, a) &&
+                   !is_sub(b, c));
+      }
+      if (direct) edges.emplace_back(order[a], order[b]);
+    }
+  }
+  return edges;
+}
+
 }  // namespace tse::fuzz

@@ -916,13 +916,8 @@ bool SchemaGraph::IsaSubsumedByLocked(ClassId a, ClassId b) const {
   auto ta = TypeRefLocked(a);
   auto tb = TypeRefLocked(b);
   if (!ta.ok() || !tb.ok()) return false;
-  return IsaSubsumedByLocked(a, *ta.value(), b, *tb.value());
-}
-
-bool SchemaGraph::IsaSubsumedByLocked(ClassId a, const TypeSet& type_a,
-                                      ClassId b,
-                                      const TypeSet& type_b) const {
-  return type_a.CoversNamesOf(type_b) && ExtentSubsumedByLocked(a, b);
+  return ta.value()->CoversNamesOf(*tb.value()) &&
+         ExtentSubsumedByLocked(a, b);
 }
 
 const ClassNode* SchemaGraph::ReadHold::Find(ClassId cls) const {
@@ -933,6 +928,24 @@ const ClassNode* SchemaGraph::ReadHold::Find(ClassId cls) const {
 bool SchemaGraph::ReadHold::ExtentEquivalent(ClassId a, ClassId b) const {
   if (a != b && !graph_.BothPresentLocked(a, b)) return false;
   return graph_.ExtentEquivalentLocked(a, b);
+}
+
+std::vector<ClassId> SchemaGraph::ReadHold::Reach(ClassId from,
+                                                  bool down) const {
+  stamps_.resize(id_bound(), 0);
+  ++stamp_;
+  std::vector<ClassId> out{from};
+  for (size_t i = 0; i < out.size(); ++i) {
+    const ClassNode* node = Find(out[i]);
+    if (node == nullptr) continue;
+    stamps_[out[i].value()] = stamp_;
+    for (ClassId c : down ? node->subs : node->supers) {
+      if (stamps_[c.value()] != stamp_) out.push_back(c);
+      stamps_[c.value()] = stamp_;
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 bool SchemaGraph::IsDuplicateOf(ClassId a, ClassId b) const {
@@ -1025,33 +1038,17 @@ Result<std::vector<ClassId>> SchemaGraph::DirectSubs(ClassId cls) const {
 }
 
 Result<std::set<ClassId>> SchemaGraph::TransitiveSupers(ClassId cls) const {
-  std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  const ReadHold graph(*this);
   TSE_RETURN_IF_ERROR(GetClassUnlocked(cls).status());
-  std::set<ClassId> out;
-  std::deque<ClassId> queue{cls};
-  while (!queue.empty()) {
-    ClassId cur = queue.front();
-    queue.pop_front();
-    if (!out.insert(cur).second) continue;
-    TSE_ASSIGN_OR_RETURN(const ClassNode* node, GetClassUnlocked(cur));
-    for (ClassId sup : node->supers) queue.push_back(sup);
-  }
-  return out;
+  const std::vector<ClassId> up = graph.Reach(cls, /*down=*/false);
+  return std::set<ClassId>(up.begin(), up.end());
 }
 
 Result<std::set<ClassId>> SchemaGraph::TransitiveSubs(ClassId cls) const {
-  std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
+  const ReadHold graph(*this);
   TSE_RETURN_IF_ERROR(GetClassUnlocked(cls).status());
-  std::set<ClassId> out;
-  std::deque<ClassId> queue{cls};
-  while (!queue.empty()) {
-    ClassId cur = queue.front();
-    queue.pop_front();
-    if (!out.insert(cur).second) continue;
-    TSE_ASSIGN_OR_RETURN(const ClassNode* node, GetClassUnlocked(cur));
-    for (ClassId sub : node->subs) queue.push_back(sub);
-  }
-  return out;
+  const std::vector<ClassId> down = graph.Reach(cls, /*down=*/true);
+  return std::set<ClassId>(down.begin(), down.end());
 }
 
 Status SchemaGraph::RestoreProperty(PropertyDef def) {

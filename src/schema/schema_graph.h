@@ -267,19 +267,21 @@ class SchemaGraph {
     bool IsaSubsumedBy(ClassId a, ClassId b) const {
       return graph_.IsaSubsumedByLocked(a, b);
     }
-    /// IsaSubsumedBy with both types already fetched through Type().
-    bool IsaSubsumedBy(ClassId a, const TypeSet& type_a, ClassId b,
-                       const TypeSet& type_b) const {
-      return graph_.IsaSubsumedByLocked(a, type_a, b, type_b);
-    }
     bool ExtentEquivalent(ClassId a, ClassId b) const;
     bool IsDuplicateOf(ClassId a, ClassId b) const {
       return graph_.IsDuplicateOfLocked(a, b);
     }
 
+    /// `from` and every class reachable from it over direct classified
+    /// subs (`down`) or supers, in id order.
+    std::vector<ClassId> Reach(ClassId from, bool down) const;
+
    private:
     const SchemaGraph& graph_;
     std::shared_lock<std::shared_mutex> lock_;
+    /// Reach's visit marks by class id; each walk bumps the stamp.
+    mutable std::vector<uint32_t> stamps_;
+    mutable uint32_t stamp_ = 0;
   };
 
   // --- Catalog restore (used by schema::CatalogIO only) -------------------
@@ -421,8 +423,6 @@ class SchemaGraph {
     return ExtentSubsumedByLocked(a, b) && ExtentSubsumedByLocked(b, a);
   }
   bool IsaSubsumedByLocked(ClassId a, ClassId b) const;
-  bool IsaSubsumedByLocked(ClassId a, const TypeSet& type_a, ClassId b,
-                           const TypeSet& type_b) const;
   bool IsDuplicateOfLocked(ClassId a, ClassId b) const;
   /// IsDuplicateOf's structural rule for refine classes whose types
   /// differ only in freshly allocated, structurally identical

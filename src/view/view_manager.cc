@@ -1,5 +1,6 @@
 #include "view/view_manager.h"
 
+#include <algorithm>
 #include <deque>
 #include <set>
 #include <vector>
@@ -35,6 +36,10 @@ Result<ViewManager::Generated> ViewManager::Generate(
     if (node == nullptr) {
       return Status::NotFound(StrCat("class id ", spec.cls.ToString()));
     }
+    if (spec.cls != graph.root() && node->supers.empty()) {
+      return Status::FailedPrecondition(
+          StrCat("class ", node->name, " is not in the classified schema"));
+    }
     if (!selected.insert(spec.cls).second) {
       return Status::InvalidArgument(
           StrCat("class ", node->name, " selected twice"));
@@ -48,42 +53,38 @@ Result<ViewManager::Generated> ViewManager::Generate(
     out.members.emplace_back(spec.cls, std::move(display));
   }
 
-  // View schema generation: a -> b direct iff a ⊑ b with no selected
-  // class strictly between. One subsumption query per ordered pair fills
-  // `sub[i * n + j]` (= order[i] ⊑ order[j]); the reduction reads the
-  // matrix. Each class's type is fetched once, so most pairs are decided
-  // by comparing name signatures.
+  // View schema generation off the classified DAG (Section 5), which
+  // keeps every provable is-a as a path: up[i] lists the selected classes
+  // the walk up from order[i] reaches. Those that reach each other are
+  // equivalent: one edge, lower id (the subclass) to higher. Of the rest,
+  // above[i], each is direct unless another reaches it.
   const std::vector<ClassId> order(selected.begin(), selected.end());
   const size_t n = order.size();
-  std::vector<const schema::TypeSet*> types(n, nullptr);
+  std::vector<std::vector<size_t>> up(n), above(n);
   for (size_t i = 0; i < n; ++i) {
-    types[i] = graph.Type(order[i]).value_or(nullptr);
-  }
-  std::vector<uint8_t> sub(n * n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (types[i] == nullptr) continue;
-    for (size_t j = 0; j < n; ++j) {
-      if (i == j || types[j] == nullptr) continue;
-      sub[i * n + j] =
-          graph.IsaSubsumedBy(order[i], *types[i], order[j], *types[j]);
+    for (ClassId c : graph.Reach(order[i], /*down=*/false)) {
+      auto it = std::lower_bound(order.begin(), order.end(), c);
+      if (c != order[i] && it != order.end() && *it == c) {
+        up[i].push_back(it - order.begin());
+      }
     }
   }
-  auto is_sub = [&](size_t a, size_t b) { return sub[a * n + b] != 0; };
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = 0; b < n; ++b) {
-      if (a == b || !is_sub(a, b)) continue;
-      // Extensionally equivalent classes selected together: order by id
-      // for determinism (lower id, hence lower index, is the upper class).
-      if (is_sub(b, a) && b < a) continue;
-      bool direct = true;
-      for (size_t c = 0; c < n; ++c) {
-        if (c == a || c == b) continue;
-        if (is_sub(a, c) && is_sub(c, b) && !is_sub(c, a) && !is_sub(b, c)) {
-          direct = false;
-          break;
-        }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j : up[i]) {
+      if (!std::binary_search(up[j].begin(), up[j].end(), i)) {
+        above[i].push_back(j);
+      } else if (i < j) {
+        out.edges.emplace_back(order[i], order[j]);
       }
-      if (direct) out.edges.emplace_back(order[a], order[b]);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j : above[i]) {
+      if (std::none_of(above[i].begin(), above[i].end(), [&](size_t k) {
+            return std::binary_search(above[k].begin(), above[k].end(), j);
+          })) {
+        out.edges.emplace_back(order[i], order[j]);
+      }
     }
   }
   return out;
@@ -119,11 +120,9 @@ Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
   std::vector<ClassId> missing;
   std::set<ClassId> missing_set;
   std::deque<ClassId> queue(selected.begin(), selected.end());
-  std::set<ClassId> processed;
   while (!queue.empty()) {
     ClassId cls = queue.front();
     queue.pop_front();
-    if (!processed.insert(cls).second) continue;
     TSE_ASSIGN_OR_RETURN(const schema::TypeSet* type, graph.Type(cls));
     for (const auto& [name, defs] : type->bindings()) {
       for (PropertyDefId def_id : defs) {
@@ -157,9 +156,9 @@ Result<std::vector<ClassId>> ViewManager::TypeClosureMissing(
 Result<ViewId> ViewManager::CreateVersionClosed(
     const std::string& logical_name,
     const std::vector<ViewClassSpec>& classes) {
-  // The view-generation step of the TSEM pipeline. Closure and the
-  // subsumption matrix read the schema under one shared hold, released
-  // before the registration takes mu_.
+  // The view-generation step of the TSEM pipeline. Closure and the DAG
+  // walk read the schema under one shared hold, released before the
+  // registration takes mu_.
   TSE_TRACE_SPAN("view.regenerate");
   Generated generated;
   {

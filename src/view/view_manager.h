@@ -31,7 +31,7 @@ struct ViewClassSpec {
 /// lookups take it shared, so sessions can open/refresh views while a
 /// schema change publishes a new version (DESIGN.md §10). Returned
 /// `const ViewSchema*` pointers are stable — versions are never removed.
-/// Schema reads (subsumption, type closure) happen *before* `mu_` is
+/// Schema reads (DAG walk, type closure) happen *before* `mu_` is
 /// taken, under one SchemaGraph::ReadHold per generation that is
 /// released before registration; the lock order is mu_ → SchemaGraph
 /// internals, never reverse.
@@ -45,10 +45,10 @@ class ViewManager {
 
   /// Creates a new version of the view `logical_name` containing the
   /// given classes. The generalization hierarchy is generated
-  /// automatically (view schema generation algorithm [21]): a direct
-  /// edge a -> b for view classes with a is-a-subsumed-by b and no third
-  /// selected class strictly between. Duplicate display names are
-  /// rejected.
+  /// automatically (view schema generation algorithm [21]) from the
+  /// classified DAG's is-a paths; equivalent classes (an is-a cycle) are
+  /// ordered by id, the lower id as the subclass. Duplicate display
+  /// names and classes the classifier never placed are rejected.
   Result<ViewId> CreateVersion(const std::string& logical_name,
                                const std::vector<ViewClassSpec>& classes);
 

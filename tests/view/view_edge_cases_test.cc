@@ -65,25 +65,44 @@ TEST_F(ViewEdgeCasesTest, DiamondGeneratesBothEdges) {
 }
 
 TEST_F(ViewEdgeCasesTest, EquivalentClassesOrderDeterministically) {
-  // A refine class with no added properties is extent- and type-
-  // equivalent to a hide class hiding nothing — both equivalent to B.
-  // Selecting B together with such an equivalent class must produce a
-  // deterministic (id-ordered) chain, never a cycle.
+  // E overrides B's y. Hiding E's y and re-importing B's definition (what
+  // delete_attribute does to an overriding attribute, Section 6.2.2)
+  // gives a class with E's extent and names but another binding: it is-a
+  // subsumes E both ways without being a duplicate, so the classified
+  // DAG holds an is-a cycle between the two. Selecting both must produce
+  // a deterministic (id-ordered) edge, never a cycle.
+  ClassId e =
+      graph_
+          .AddBaseClass("E", {b_},
+                        {PropertySpec::Attribute("y", ValueType::kReal)})
+          .value();
+  PropertyDefId b_y = graph_.ResolveProperty(b_, "y").value()->id;
+  ClassId hidden = Define("EHidden", Query::Hide(Query::Class("E"), {"y"}));
+  ClassId twin = graph_.AddRefineClass("ETwin", hidden, {}, {b_y}).value();
+  ASSERT_EQ(classifier_.Classify(twin).value().cls, twin);
+  ASSERT_TRUE(graph_.IsaSubsumedBy(e, twin));
+  ASSERT_TRUE(graph_.IsaSubsumedBy(twin, e));
+  ViewManager vm(&graph_);
+  ViewId id = vm.CreateVersion("VS", {{e, ""}, {twin, ""}}).value();
+  const ViewSchema* vs = vm.GetView(id).value();
+  // One direct edge between the two, the lower id as the subclass, and
+  // acyclic.
+  bool e_under_twin = !vs->DirectSupers(e).empty();
+  bool twin_under_e = !vs->DirectSupers(twin).empty();
+  EXPECT_NE(e_under_twin, twin_under_e);
+  EXPECT_EQ(e_under_twin, e < twin);
+  std::set<ClassId> closure = vs->TransitiveSupers(e);
+  EXPECT_LE(closure.size(), 2u);
+
+  // A hide-nothing twin of B left unclassified has no place in the DAG,
+  // so the view refuses it by name instead of guessing its edges.
   schema::Derivation hide_nothing;
   hide_nothing.op = schema::DerivationOp::kHide;
   hide_nothing.sources = {b_};
-  ClassId twin = graph_.AddVirtualClass("BTwin", hide_nothing).value();
-  // Intentionally not classified (so it is not deduplicated) — views
-  // must still cope with equivalent selections.
-  ViewManager vm(&graph_);
-  ViewId id = vm.CreateVersion("VS", {{b_, ""}, {twin, ""}}).value();
-  const ViewSchema* vs = vm.GetView(id).value();
-  // One direct edge between the two, lower id on top, and acyclic.
-  bool b_under_twin = !vs->DirectSupers(b_).empty();
-  bool twin_under_b = !vs->DirectSupers(twin).empty();
-  EXPECT_NE(b_under_twin, twin_under_b);
-  std::set<ClassId> closure = vs->TransitiveSupers(b_);
-  EXPECT_LE(closure.size(), 2u);
+  ClassId unplaced = graph_.AddVirtualClass("BTwin", hide_nothing).value();
+  Result<ViewId> refused = vm.CreateVersion("VS", {{b_, ""}, {unplaced, ""}});
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("BTwin"), std::string::npos);
 }
 
 TEST_F(ViewEdgeCasesTest, VirtualOnlyViewGeneratesHierarchy) {
