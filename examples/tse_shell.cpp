@@ -19,8 +19,6 @@
 //
 // Extra shell commands: `show` (current view), `extents`, `history`,
 // `explain <Class>` (the select plan the cost-based planner would run),
-// `layout [pin|unpin] <Class>` (inspect or pin/unpin the packed-record
-// layout of a hot class, DESIGN.md §12),
 // `session <view>` (open/switch the bound view), `sessionat <id>`
 // (pin a historical view version), `connect <host:port> [view]`
 // (switch to a remote backend), `cluster <h:p1,h:p2,...> [view]`
@@ -169,29 +167,6 @@ struct Shell {
         return true;
       }
       auto text = backend->Explain(cls_name);
-      if (!text.ok()) {
-        std::cout << "error: " << text.status().ToString() << "\n";
-      } else {
-        std::cout << text.value();
-      }
-      return true;
-    }
-    if (head == "layout") {
-      std::string action, cls_name;
-      in >> action >> cls_name;
-      if (cls_name.empty() && (action == "pin" || action == "unpin")) {
-        std::cout << "usage: layout [pin|unpin] <Class>\n";
-        return true;
-      }
-      if (cls_name.empty()) {
-        cls_name = action;
-        action.clear();
-      }
-      if (cls_name.empty()) {
-        std::cout << "usage: layout [pin|unpin] <Class>\n";
-        return true;
-      }
-      auto text = backend->Layout(action, cls_name);
       if (!text.ok()) {
         std::cout << "error: " << text.status().ToString() << "\n";
       } else {

@@ -17,28 +17,6 @@ using objmodel::Value;
 using schema::ClassNode;
 using schema::DerivationOp;
 
-namespace {
-
-// The batch arm's compare loop: keeps each member of `source` whose
-// column cell (`cell(oid)`; nullptr reads Null, like a missing slice
-// value) passes `pred`.
-template <typename Cell>
-Status CompareScan(const std::set<Oid>& source, const SimplePredicate& pred,
-                   Cell cell, std::set<Oid>* out) {
-  const Value null_value = Value::Null();
-  for (Oid oid : source) {
-    const Value* v = cell(oid);
-    TSE_ASSIGN_OR_RETURN(
-        Value verdict,
-        objmodel::CompareValues(pred.op, v ? *v : null_value, pred.literal));
-    TSE_ASSIGN_OR_RETURN(bool keep, verdict.AsBool());
-    if (keep) out->insert(out->end(), oid);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 bool ExtentEvaluator::IsSyncedLocked() const {
   if (!synced_once_) return false;
   if (!incremental_) {
@@ -237,24 +215,18 @@ Result<bool> ExtentEvaluator::Member(ClassId cls, Oid oid) const {
   return Status::Internal("unknown derivation op");
 }
 
-Status ExtentEvaluator::EvalSelect(const ClassNode* node,
+Status ExtentEvaluator::EvalSelect(ClassId source_cls,
+                                   const objmodel::MethodExpr& pred,
                                    const std::set<Oid>& source,
                                    std::set<Oid>* out) const {
   TSE_TRACE_SPAN("algebra.plan.select");
   auto classic = [&] {
     TSE_COUNT("algebra.plan.full_scan");
-    return accessor_.Filter(*node->derivation.predicate,
-                            node->derivation.sources[0], source,
-                            std::nullopt, out);
+    return accessor_.Filter(pred, source_cls, source, std::nullopt, out);
   };
   SelectPlanner planner(schema_, indexes_);
-  const bool packed_source =
-      layout_ != nullptr &&
-      layout_->IsPromoted(node->derivation.sources[0]);
   const SelectPlan plan =
-      planner.Plan(node->derivation.sources[0],
-                   node->derivation.predicate.get(), source.size(),
-                   planner_mode_, packed_source);
+      planner.Plan(source_cls, &pred, source.size(), planner_mode_);
   switch (plan.arm) {
     case PlanArm::kIndex: {
       std::vector<Oid> candidates;
@@ -277,32 +249,13 @@ Status ExtentEvaluator::EvalSelect(const ClassNode* node,
     }
     case PlanArm::kBatch: {
       TSE_COUNT("algebra.plan.batch_scan");
-      // Packed-layout fast path: a promoted source class already holds
-      // this attribute as one contiguous column block (DESIGN.md §12) —
-      // scan it instead of walking the slice arena. The cache and the
-      // source extent are synced against the same journal head (both
-      // under the data latch), so a missing row reads Null exactly like
-      // a missing slice value below.
-      if (layout_ != nullptr) {
-        Status scan_status;
-        const bool served = layout_->WithColumn(
-            node->derivation.sources[0], plan.def->id,
-            [&](const std::unordered_map<uint64_t, size_t>& row_of,
-                const std::vector<Value>& cells) {
-              scan_status = CompareScan(
-                  source, *plan.pred,
-                  [&](Oid oid) -> const Value* {
-                    auto it = row_of.find(oid.value());
-                    return it == row_of.end() ? nullptr : &cells[it->second];
-                  },
-                  out);
-            });
-        if (served) return scan_status;
-      }
       // One clustered pass over the defining class's slice arena (the
-      // store's struct-of-arrays layout), then a cheap per-member
-      // compare — no per-oid resolver indirection.
-      std::unordered_map<uint64_t, const Value*> column;
+      // store's struct-of-arrays layout) gathers the attribute column,
+      // sorted by oid so the compare loop merges it with the ordered
+      // source — no per-oid resolver indirection or hashing. A member
+      // without the slice or the value reads Null, exactly as a slice
+      // read does.
+      std::vector<std::pair<Oid, const Value*>> column;
       const uint64_t def_raw = plan.def->id.value();
       store_->ForEachSlice(
           plan.def->definer,
@@ -310,16 +263,24 @@ Status ExtentEvaluator::EvalSelect(const ClassNode* node,
               const std::unordered_map<uint64_t, Value>& values) {
             auto it = values.find(def_raw);
             if (it != values.end()) {
-              column.emplace(conceptual.value(), &it->second);
+              column.emplace_back(conceptual, &it->second);
             }
           });
-      return CompareScan(
-          source, *plan.pred,
-          [&](Oid oid) -> const Value* {
-            auto it = column.find(oid.value());
-            return it == column.end() ? nullptr : it->second;
-          },
-          out);
+      std::sort(column.begin(), column.end());
+      const Value null_value = Value::Null();
+      auto cell = column.begin();
+      for (Oid oid : source) {
+        while (cell != column.end() && cell->first < oid) ++cell;
+        const bool present = cell != column.end() && cell->first == oid;
+        TSE_ASSIGN_OR_RETURN(
+            Value verdict,
+            objmodel::CompareValues(plan.pred->op,
+                                    present ? *cell->second : null_value,
+                                    plan.pred->literal));
+        TSE_ASSIGN_OR_RETURN(bool keep, verdict.AsBool());
+        if (keep) out->insert(out->end(), oid);
+      }
+      return Status::OK();
     }
     case PlanArm::kClassic:
       return classic();
@@ -340,9 +301,7 @@ Result<SelectPlan> ExtentEvaluator::ExplainSelect(ClassId cls) const {
   SelectPlanner planner(schema_, indexes_);
   return planner.Plan(node->derivation.sources[0],
                       node->derivation.predicate.get(), source->size(),
-                      planner_mode_,
-                      layout_ != nullptr &&
-                          layout_->IsPromoted(node->derivation.sources[0]));
+                      planner_mode_);
 }
 
 void ExtentEvaluator::Invalidate(ClassId cls) const {
@@ -482,6 +441,18 @@ Result<std::set<Oid>> ExtentEvaluator::ExtentAt(ClassId cls,
   return std::move(pinned.at(cls));
 }
 
+Result<std::vector<Oid>> ExtentEvaluator::Select(
+    ClassId cls, const objmodel::MethodExpr& pred) const {
+  using Selected = Result<std::vector<Oid>>;
+  TSE_ASSIGN_OR_RETURN(
+      Selected selected, WithExtent(cls, [&](ExtentPtr source) -> Selected {
+        std::set<Oid> out;
+        TSE_RETURN_IF_ERROR(EvalSelect(cls, pred, *source, &out));
+        return std::vector<Oid>(out.begin(), out.end());
+      }));
+  return selected;
+}
+
 Result<const std::set<Oid>*> ExtentEvaluator::Eval(
     ClassId cls, ReadPoint at,
     std::map<ClassId, std::set<Oid>>* pinned) const {
@@ -525,7 +496,7 @@ Result<const std::set<Oid>*> ExtentEvaluator::Eval(
     case DerivationOp::kSelect:
       TSE_RETURN_IF_ERROR(
           at ? accessor_.Filter(*d.predicate, d.sources[0], *a, at, &out)
-             : EvalSelect(node, *a, &out));
+             : EvalSelect(d.sources[0], *d.predicate, *a, &out));
       break;
     case DerivationOp::kHide:
     case DerivationOp::kRefine:

@@ -107,11 +107,19 @@ class ExtentEvaluator {
   /// the store's version chains (SlicingStore::DirectExtentAt /
   /// GetValueAt) by the same interpreter as Extent(). Purely const: it
   /// never touches the shared cache, the journal cursor, or the planner
-  /// — the index and packed-record arms mirror *live* state and are
-  /// ineligible at a pinned epoch, so selects always take the classic
-  /// per-oid arm with an epoch-bound resolver. Safe under the embedding
-  /// layer's shared latches; serves tse::Snapshot reads.
+  /// — the index and batch arms read *live* state and are ineligible at
+  /// a pinned epoch, so selects always take the classic per-oid arm
+  /// with an epoch-bound resolver. Safe under the embedding layer's
+  /// shared latches; serves tse::Snapshot reads.
   Result<std::set<Oid>> ExtentAt(ClassId cls, uint64_t epoch) const;
+
+  /// The members of `cls`'s live extent that satisfy `pred` (read
+  /// through `cls`), in oid order: an ad-hoc select (Session::Select).
+  /// It runs the planned dispatch a select derivation runs, so an
+  /// `attr op literal` predicate gets the index or arena pass; the
+  /// status on a predicate error is the classic filter's.
+  Result<std::vector<Oid>> Select(ClassId cls,
+                                  const objmodel::MethodExpr& pred) const;
 
   /// Toggles incremental maintenance. When off, the evaluator reverts
   /// to whole-cache invalidation on any data write or schema change —
@@ -130,18 +138,6 @@ class ExtentEvaluator {
   void set_index_manager(const index::IndexManager* indexes) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     indexes_ = indexes;
-  }
-
-  /// Wires in the adaptive packed-record cache (DESIGN.md §12): the
-  /// batch arm scans a promoted class's packed attribute column instead
-  /// of the slice arena, and the embedded accessor probes packed
-  /// records before slice reads. May stay null. Lock order: the cache's
-  /// internal mutex nests strictly inside this evaluator's lock (the
-  /// cache never calls back into the evaluator).
-  void set_layout(const layout::PackedRecordCache* layout) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    layout_ = layout;
-    accessor_.set_layout(layout);
   }
 
   /// Planner policy for select derivations (default kAuto). The force
@@ -245,16 +241,17 @@ class ExtentEvaluator {
   /// Never consults `cls`'s own entry (delta propagation recomputes it).
   /// Requires at least the shared lock on a synced cache.
   Result<bool> Member(ClassId cls, Oid oid) const;
-  /// Fills `out` with the select's members over `source`, dispatching
-  /// on the planner's chosen arm. Requires the exclusive lock.
-  Status EvalSelect(const schema::ClassNode* node,
+  /// The select dispatch, shared by select derivations and Select():
+  /// fills `out` with the members of `source` (live members of
+  /// `source_cls`) that satisfy `pred`, on the planner's chosen arm.
+  /// Requires at least the shared lock on a synced cache.
+  Status EvalSelect(ClassId source_cls, const objmodel::MethodExpr& pred,
                     const std::set<Oid>& source, std::set<Oid>* out) const;
 
   const schema::SchemaGraph* schema_;
   objmodel::SlicingStore* store_;
   ObjectAccessor accessor_;
   const index::IndexManager* indexes_ = nullptr;
-  const layout::PackedRecordCache* layout_ = nullptr;
   PlannerMode planner_mode_ = PlannerMode::kAuto;
   bool incremental_ = true;
   /// Guards every mutable member below (and incremental_). Cache hits

@@ -83,10 +83,6 @@ Result<Value> ObjectAccessor::ReadStored(Oid oid,
                                          const schema::PropertyDef& def,
                                          ReadPoint at) const {
   if (at) return store_->GetValueAt(oid, def.definer, def.id, *at);
-  if (layout_ != nullptr) {
-    Value packed;
-    if (layout_->TryGetPacked(oid, def, &packed)) return packed;
-  }
   return store_->GetValue(oid, def.definer, def.id);
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "layout/packed_record_cache.h"
 #include "objmodel/slicing_store.h"
 #include "schema/schema_graph.h"
 
@@ -32,11 +31,9 @@ class ObjectAccessor {
 
   /// Reads property `name` of `oid` in the context of `cls` at read
   /// point `at`. Methods are evaluated with attribute reads bound to the
-  /// same context and read point; attributes are fetched from storage
-  /// (Null when unset). Live reads probe the packed layout before the
-  /// slices; pinned reads come from the store's version chains
-  /// (SlicingStore::GetValueAt) and skip the packed layout, which
-  /// mirrors live state only.
+  /// same context and read point; attributes are fetched from the
+  /// definer's slice (Null when unset). Pinned reads come from the
+  /// store's version chains (SlicingStore::GetValueAt).
   ///
   /// `name` may be a dotted path over Ref attributes ("advisor.name"):
   /// each prefix must resolve to a Ref-typed attribute whose declared
@@ -82,14 +79,6 @@ class ObjectAccessor {
   const schema::SchemaGraph* schema() const { return schema_; }
   objmodel::SlicingStore* store() const { return store_; }
 
-  /// Attaches the adaptive packed-record cache (DESIGN.md §12). Stored
-  /// attribute reads probe it before falling back to slice reads; the
-  /// probe doubles as the advisor's per-class access feed. May be null.
-  void set_layout(const layout::PackedRecordCache* layout) {
-    layout_ = layout;
-  }
-  const layout::PackedRecordCache* layout() const { return layout_; }
-
  private:
   /// The stored value of attribute `def` on `oid` at `at`.
   Result<objmodel::Value> ReadStored(Oid oid, const schema::PropertyDef& def,
@@ -97,7 +86,6 @@ class ObjectAccessor {
 
   const schema::SchemaGraph* schema_;
   objmodel::SlicingStore* store_;
-  const layout::PackedRecordCache* layout_ = nullptr;
 };
 
 }  // namespace tse::algebra

@@ -82,8 +82,8 @@ std::optional<SimplePredicate> ExtractSimplePredicate(
 
 SelectPlan SelectPlanner::Plan(ClassId source_cls,
                                const MethodExpr* predicate,
-                               size_t source_size, PlannerMode mode,
-                               bool packed_source) const {
+                               size_t source_size,
+                               PlannerMode mode) const {
   SelectPlan plan;
   plan.source_size = source_size;
   auto classic = [&](std::string why) {
@@ -190,15 +190,10 @@ SelectPlan SelectPlanner::Plan(ClassId source_cls,
                std::to_string(plan.est_selectivity), ")");
     return plan;
   }
-  if (mode == PlannerMode::kAuto && source_size < kBatchMinSource &&
-      !packed_source) {
+  if (mode == PlannerMode::kAuto && source_size < kBatchMinSource) {
     return classic("source too small for an arena pass");
   }
   plan.arm = PlanArm::kBatch;
-  if (packed_source) {
-    plan.reason = StrCat("batch scan over packed layout on ", sp->attr);
-    return plan;
-  }
   plan.reason = StrCat(
       "batch arena scan on ", sp->attr,
       index_ok ? StrCat(" (index declined: est selectivity ",

@@ -72,12 +72,9 @@ class SelectPlanner {
   /// Plans the select whose source class is `source_cls` with
   /// `predicate` over a source extent of `source_size` members.
   /// `indexes_` may be null (embedding without indexes): every plan is
-  /// then classic or batch. `packed_source` says a packed-record layout
-  /// is promoted for the source class (DESIGN.md §12): its column block
-  /// makes a batch pass cheap even below kBatchMinSource.
+  /// then classic or batch.
   SelectPlan Plan(ClassId source_cls, const objmodel::MethodExpr* predicate,
-                  size_t source_size, PlannerMode mode,
-                  bool packed_source = false) const;
+                  size_t source_size, PlannerMode mode) const;
 
   /// Selectivity threshold below which kAuto prefers the index arm.
   static constexpr double kIndexSelectivityThreshold = 0.10;

@@ -8,7 +8,8 @@ using schema::Derivation;
 using schema::DerivationOp;
 
 Result<ClassId> AlgebraProcessor::DefineVC(const std::string& name,
-                                           const Query::Ptr& query) {
+                                           const Query::Ptr& query,
+                                           const Integrate& integrate) {
   if (!query) return Status::InvalidArgument("null query");
   if (query->kind() == Query::Kind::kClassRef) {
     return Status::InvalidArgument(
@@ -16,13 +17,17 @@ Result<ClassId> AlgebraProcessor::DefineVC(const std::string& name,
         "directly");
   }
   int counter = 0;
-  return Materialize(name, query, &counter, name);
+  TSE_ASSIGN_OR_RETURN(ClassId cls,
+                       Materialize(name, query, &counter, name, integrate));
+  if (integrate) return integrate(cls);
+  return cls;
 }
 
 Result<ClassId> AlgebraProcessor::Materialize(const std::string& name,
                                               const Query::Ptr& query,
                                               int* counter,
-                                              const std::string& top_name) {
+                                              const std::string& top_name,
+                                              const Integrate& integrate) {
   switch (query->kind()) {
     case Query::Kind::kClassRef:
       return schema_->FindClass(query->class_name());
@@ -37,8 +42,12 @@ Result<ClassId> AlgebraProcessor::Materialize(const std::string& name,
       ++*counter;
       child_name = StrCat(top_name, "$", *counter);
     }
-    TSE_ASSIGN_OR_RETURN(ClassId child_cls,
-                         Materialize(child_name, child, counter, top_name));
+    TSE_ASSIGN_OR_RETURN(
+        ClassId child_cls,
+        Materialize(child_name, child, counter, top_name, integrate));
+    if (integrate && child->kind() != Query::Kind::kClassRef) {
+      TSE_ASSIGN_OR_RETURN(child_cls, integrate(child_cls));
+    }
     sources.push_back(child_cls);
   }
 

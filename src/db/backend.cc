@@ -35,12 +35,6 @@ Result<std::string> Backend::Explain(const std::string&) {
       "expose query plans");
 }
 
-Result<std::string> Backend::Layout(const std::string&, const std::string&) {
-  return Status::InvalidArgument(
-      "layout needs the embedded engine; the wire protocol does not "
-      "expose physical tuning");
-}
-
 Result<Value> ParseValueLiteral(const std::string& raw) {
   size_t begin = raw.find_first_not_of(" \t");
   size_t end = raw.find_last_not_of(" \t");

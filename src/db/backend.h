@@ -179,10 +179,6 @@ class Backend : public ReadSurface {
   /// The select plan the cost-based planner would run for `class_name`.
   [[nodiscard]] virtual Result<std::string> Explain(
       const std::string& class_name);
-  /// Packed-record layout inspection; `action` is "" (inspect), "pin",
-  /// or "unpin".
-  [[nodiscard]] virtual Result<std::string> Layout(
-      const std::string& action, const std::string& class_name);
 
   // --- Escape hatches ---------------------------------------------------
   // Deployment-specific handles for tests and tooling; null when the

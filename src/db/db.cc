@@ -41,12 +41,8 @@ Status Db::Bootstrap(DbOptions options) {
   indexes_ =
       std::make_unique<index::IndexManager>(schema_.get(), store_.get());
   extents_->set_index_manager(indexes_.get());
-  layout_ = std::make_unique<layout::PackedRecordCache>(schema_.get(),
-                                                        store_.get());
-  extents_->set_layout(layout_.get());
   engine_ = std::make_unique<update::UpdateEngine>(
       schema_.get(), store_.get(), extents_.get(), options_.closure_policy);
-  engine_->accessor().set_layout(layout_.get());
   locks_ = std::make_unique<storage::LockManager>(options_.lock_timeout);
   txns_ =
       std::make_unique<update::TransactionManager>(engine_.get(), locks_.get());
@@ -71,10 +67,8 @@ Status Db::Bootstrap(DbOptions options) {
 
     if (catalog_db_->size() > 0) {
       std::vector<index::IndexSpec> index_specs;
-      std::vector<ClassId> pinned_layouts;
       TSE_RETURN_IF_ERROR(view::CatalogIO::Load(
-          catalog_db_.get(), schema_.get(), views_.get(), &index_specs,
-          &pinned_layouts));
+          catalog_db_.get(), schema_.get(), views_.get(), &index_specs));
       TSE_RETURN_IF_ERROR(objmodel::PersistenceBridge::LoadAll(
           objects_db_.get(), store_.get()));
       // Index contents are not persisted: recreate each declared index
@@ -82,12 +76,6 @@ Status Db::Bootstrap(DbOptions options) {
       // crash recovery — same consistency story as a journal gap).
       for (const index::IndexSpec& spec : index_specs) {
         TSE_RETURN_IF_ERROR(indexes_->CreateIndex(spec.def, spec.kind));
-      }
-      // Packed-record contents are not persisted either: re-pin each
-      // class, rebuilding its layout from the restored store. A pin
-      // whose class no longer packs an attribute is simply dropped.
-      for (ClassId cls : pinned_layouts) {
-        (void)layout_->Pin(cls);
       }
     }
   }
@@ -123,9 +111,7 @@ void Db::HeartbeatLoop() {
 Status Db::PersistCatalog() {
   if (!catalog_db_) return Status::OK();
   const std::vector<index::IndexSpec> specs = indexes_->List();
-  const std::vector<ClassId> pins = layout_->Pinned();
-  return view::CatalogIO::Save(*schema_, *views_, catalog_db_.get(), &specs,
-                               &pins);
+  return view::CatalogIO::Save(*schema_, *views_, catalog_db_.get(), &specs);
 }
 
 Result<ClassId> Db::AddBaseClass(
@@ -142,13 +128,17 @@ Result<ClassId> Db::AddBaseClass(
 Result<ClassId> Db::DefineVirtualClass(const std::string& name,
                                        const algebra::Query::Ptr& query) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  TSE_ASSIGN_OR_RETURN(ClassId cls, algebra_->DefineVC(name, query));
-  TSE_ASSIGN_OR_RETURN(classifier::ClassifyResult classified,
-                       classifier_->Classify(cls));
+  TSE_ASSIGN_OR_RETURN(
+      ClassId cls,
+      algebra_->DefineVC(name, query, [&](ClassId created) -> Result<ClassId> {
+        TSE_ASSIGN_OR_RETURN(classifier::ClassifyResult classified,
+                             classifier_->Classify(created));
+        return classified.cls;
+      }));
   catalog_->BumpEpoch();
   TSE_COUNT("db.epoch.bumps");
   TSE_RETURN_IF_ERROR(PersistCatalog());
-  return classified.cls;
+  return cls;
 }
 
 Result<ViewId> Db::CreateView(const std::string& logical_name,
@@ -202,43 +192,6 @@ Status Db::DropIndex(PropertyDefId def) {
   TSE_RETURN_IF_ERROR(indexes_->DropIndex(def));
   TSE_COUNT("db.index.drops");
   return PersistCatalog();
-}
-
-Result<ClassId> Db::PinLayout(const std::string& class_name) {
-  TSE_ASSIGN_OR_RETURN(ClassId cls, schema_->FindClass(class_name));
-  return PinLayoutOn(cls);
-}
-
-Result<ClassId> Db::PinLayoutOn(ClassId cls) {
-  std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  {
-    // The build scans the store: hold the data latch shared so no
-    // session mutates underneath (readers keep running).
-    std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-    TSE_RETURN_IF_ERROR(layout_->Pin(cls));
-  }
-  TSE_RETURN_IF_ERROR(PersistCatalog());
-  return cls;
-}
-
-Status Db::UnpinLayout(const std::string& class_name) {
-  TSE_ASSIGN_OR_RETURN(ClassId cls, schema_->FindClass(class_name));
-  std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  {
-    std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-    TSE_RETURN_IF_ERROR(layout_->Unpin(cls));
-  }
-  return PersistCatalog();
-}
-
-Result<layout::PackedRecordCache::ClassStats> Db::ExplainLayout(
-    const std::string& class_name) const {
-  TSE_ASSIGN_OR_RETURN(ClassId cls, schema_->FindClass(class_name));
-  // Explain syncs against the journal: keep the store stable under a
-  // shared data latch while it runs.
-  std::shared_lock<std::shared_mutex> schema_lock(schema_mu_);
-  std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-  return layout_->Explain(cls);
 }
 
 Result<std::unique_ptr<Snapshot>> Db::OpenSnapshot(

@@ -20,7 +20,6 @@
 #include "db/group_commit.h"
 #include "evolution/tse_manager.h"
 #include "index/index_manager.h"
-#include "layout/packed_record_cache.h"
 #include "objmodel/slicing_store.h"
 #include "schema/schema_graph.h"
 #include "storage/lock_manager.h"
@@ -122,8 +121,9 @@ class Db {
                                const std::vector<schema::PropertySpec>& props);
 
   /// `defineVC name as query`: materializes the virtual class(es) and
-  /// classifies them into the global DAG. Returns the representative
-  /// class (an existing duplicate when one is found).
+  /// classifies each into the global DAG as it is created, nested
+  /// `<name>$<n>` auxiliaries first. Returns the representative class
+  /// (an existing duplicate when one is found).
   Result<ClassId> DefineVirtualClass(const std::string& name,
                                      const algebra::Query::Ptr& query);
 
@@ -157,28 +157,6 @@ class Db {
   [[nodiscard]] std::vector<index::IndexSpec> ListIndexes() const {
     return indexes_->List();
   }
-
-  // --- Adaptive physical layout (serialized with DDL; pins persisted) ----
-
-  /// Pins a packed-record layout for the global class `class_name`
-  /// (DESIGN.md §12): one contiguous record per member object,
-  /// co-locating every attribute of its effective type. Transparent to
-  /// sessions — reads consult it first and fall back to slice reads.
-  /// The pin survives restarts (catalog-persisted); the advisor never
-  /// auto-demotes a pinned class. Returns the pinned ClassId.
-  Result<ClassId> PinLayout(const std::string& class_name);
-
-  /// Same, for an already-resolved class id.
-  Result<ClassId> PinLayoutOn(ClassId cls);
-
-  /// Removes the pin (and the packed layout; the advisor may re-promote
-  /// a hot class later). NotFound when the class is not pinned.
-  Status UnpinLayout(const std::string& class_name);
-
-  /// Layout state of one class: promoted/pinned/cold, packed row and
-  /// column counts, window activity (the tse_shell `layout` surface).
-  [[nodiscard]] Result<layout::PackedRecordCache::ClassStats> ExplainLayout(
-      const std::string& class_name) const;
 
   // --- Sessions ---------------------------------------------------------
 
@@ -255,7 +233,6 @@ class Db {
   update::UpdateEngine& engine() { return *engine_; }
   algebra::ExtentEvaluator& extents() { return *extents_; }
   index::IndexManager& indexes() { return *indexes_; }
-  layout::PackedRecordCache& layout() { return *layout_; }
 
  private:
   friend class Session;
@@ -307,7 +284,6 @@ class Db {
   std::unique_ptr<classifier::Classifier> classifier_;
   std::unique_ptr<algebra::ExtentEvaluator> extents_;
   std::unique_ptr<index::IndexManager> indexes_;
-  std::unique_ptr<layout::PackedRecordCache> layout_;
   std::unique_ptr<update::UpdateEngine> engine_;
   std::unique_ptr<storage::LockManager> locks_;
   std::unique_ptr<update::TransactionManager> txns_;

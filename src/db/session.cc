@@ -177,14 +177,11 @@ Result<std::vector<Oid>> Session::Select(const std::string& class_name,
   TSE_LATENCY_US("db.session.read_us");
   TSE_ASSIGN_OR_RETURN(objmodel::MethodExpr::Ptr predicate,
                        objmodel::ParseExpr(predicate_text));
-  TSE_ASSIGN_OR_RETURN(std::vector<Oid> extent, Extent(class_name));
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mu_);
+  TSE_COUNT("db.session.reads");
   TSE_ASSIGN_OR_RETURN(ClassId cls, view_->Resolve(class_name));
   std::shared_lock<std::shared_mutex> data_lock(db_->data_mu_);
-  std::vector<Oid> out;
-  TSE_RETURN_IF_ERROR(db_->engine_->accessor().Filter(
-      *predicate, cls, extent, std::nullopt, &out));
-  return out;
+  return db_->extents_->Select(cls, *predicate);
 }
 
 Result<std::string> Session::ViewToString() {
@@ -519,24 +516,6 @@ Result<std::string> Session::Explain(const std::string& class_name) {
       << ", est_selectivity=" << plan.est_selectivity
       << ", source_size=" << plan.source_size << "\n  " << plan.reason
       << "\n  epoch: visible=" << db_->visible_epoch() << "\n";
-  return out.str();
-}
-
-Result<std::string> Session::Layout(const std::string& action,
-                                    const std::string& class_name) {
-  if (action == "pin") {
-    TSE_RETURN_IF_ERROR(db_->PinLayout(class_name).status());
-  } else if (action == "unpin") {
-    TSE_RETURN_IF_ERROR(db_->UnpinLayout(class_name));
-  }
-  TSE_ASSIGN_OR_RETURN(auto stats, db_->ExplainLayout(class_name));
-  std::ostringstream out;
-  out << class_name << ": state=" << stats.state
-      << (stats.scan_complete ? " (scan-complete)" : "")
-      << ", rows=" << stats.rows << ", columns=" << stats.columns
-      << ", hits=" << stats.hits << "\n  window: point_reads="
-      << stats.window_point_reads << ", scans=" << stats.window_scans
-      << "\n";
   return out.str();
 }
 

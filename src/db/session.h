@@ -105,6 +105,8 @@ class Session final : public Backend {
   /// iterating with value reads — one epoch for the whole scan.
   [[nodiscard]] Result<std::vector<Oid>> Extent(
       const std::string& class_name) override;
+  /// Live state, planned like a select class (ExtentEvaluator::Select):
+  /// an `attr op literal` predicate gets the index or arena pass.
   [[nodiscard]] Result<std::vector<Oid>> Select(
       const std::string& class_name,
       const std::string& predicate_text) override;
@@ -159,8 +161,6 @@ class Session final : public Backend {
   Status ResetStats() override;
   Result<std::string> History() override;
   Result<std::string> Explain(const std::string& class_name) override;
-  Result<std::string> Layout(const std::string& action,
-                             const std::string& class_name) override;
   Db* db() override { return db_.get(); }
 
   // --- Two-phase schema change (cluster coordination) -------------------

@@ -68,7 +68,7 @@ class Snapshot final : public SnapshotHandle {
   /// Ad-hoc select: members of `class_name` (at the snapshot's epoch)
   /// satisfying `predicate_text` (objmodel::ParseExpr grammar, e.g.
   /// "age >= 30"). Always evaluates per object with epoch-bound reads —
-  /// secondary indexes and packed layouts mirror live state only.
+  /// the planner's index and batch arms read live state only.
   [[nodiscard]] Result<std::vector<Oid>> Select(
       const std::string& class_name,
       const std::string& predicate_text) override;

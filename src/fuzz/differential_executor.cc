@@ -14,7 +14,6 @@
 #include "evolution/tse_manager.h"
 #include "fuzz/intersection_replica.h"
 #include "fuzz/naive_placement.h"
-#include "layout/packed_record_cache.h"
 #include "update/update_engine.h"
 #include "view/view_manager.h"
 
@@ -256,7 +255,9 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
   // select classes probing them (outside the view, so the equivalence
   // checks above stay untouched), and keep one evaluator forced onto
   // the index arm for the whole run — its indexes are maintained from
-  // the change journal across every schema change and churn step.
+  // the change journal across every schema change and churn step. Each
+  // check also evaluates the probe classes cold on the batch arm (one
+  // arena pass per select) and compares both against a classic scan.
   ::tse::index::IndexManager indexes(&graph, &store);
   algebra::ExtentEvaluator indexed_eval(&graph, &store);
   indexed_eval.set_index_manager(&indexes);
@@ -307,111 +308,28 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
   auto check_index_vs_scan = [&]() -> Status {
     algebra::ExtentEvaluator scan_eval(&graph, &store);
     scan_eval.set_planner_mode(algebra::PlannerMode::kForceClassic);
+    algebra::ExtentEvaluator batch_eval(&graph, &store);
+    batch_eval.set_planner_mode(algebra::PlannerMode::kForceBatch);
     for (ClassId cls : probe_classes) {
-      auto via_index = indexed_eval.Extent(cls);
       auto via_scan = scan_eval.Extent(cls);
-      if (via_index.ok() != via_scan.ok()) {
-        return Status::FailedPrecondition(StrCat(
-            "select class ", cls.ToString(),
-            (via_index.ok() ? " evaluates via index but the scan fails: "
-                            : " fails via index but the scan succeeds: "),
-            (via_index.ok() ? via_scan.status() : via_index.status())
-                .ToString()));
-      }
-      if (via_index.ok() && *via_index.value() != *via_scan.value()) {
-        return Status::FailedPrecondition(
-            StrCat("select class ", cls.ToString(), " has ",
-                   via_index.value()->size(), " members via index, ",
-                   via_scan.value()->size(), " via scan"));
-      }
-    }
-    return Status::OK();
-  };
-
-  // Packed-vs-slices differential arm: keep one PackedRecordCache pinned
-  // over the workload's base classes for the whole run (packed records
-  // maintained from the change journal through every schema change and
-  // churn step), one accessor reading through it, and one evaluator
-  // forced onto the batch arm so select derivations scan the packed
-  // column blocks. The advisor is disabled so promotion timing can never
-  // make a run depend on anything but the case.
-  layout::AdvisorOptions packed_options;
-  packed_options.enabled = false;
-  layout::PackedRecordCache packed(&graph, &store, packed_options);
-  algebra::ObjectAccessor packed_accessor(&graph, &store);
-  packed_accessor.set_layout(&packed);
-  algebra::ExtentEvaluator packed_eval(&graph, &store);
-  packed_eval.set_layout(&packed);
-  packed_eval.set_planner_mode(algebra::PlannerMode::kForceBatch);
-  // (Re-)pins every surviving base class. Pin is idempotent; a class that
-  // packs no stored attribute is legitimately unpinnable, so skip it.
-  auto pin_base_classes = [&]() {
-    if (!options_.check_packed_vs_slices) return;
-    for (const std::string& name : class_names) {
-      auto cls = graph.FindClass(name);
-      if (!cls.ok()) continue;
-      (void)packed.Pin(cls.value());
-    }
-  };
-  pin_base_classes();
-  auto check_packed_vs_slices =
-      [&](const view::ViewSchema* vs) -> Status {
-    pin_base_classes();
-    algebra::ObjectAccessor plain(&graph, &store);
-    for (ClassId cls : vs->classes()) {
-      TSE_ASSIGN_OR_RETURN(std::string display, vs->DisplayName(cls));
-      TSE_ASSIGN_OR_RETURN(schema::TypeSet type, graph.EffectiveType(cls));
-      TSE_ASSIGN_OR_RETURN(algebra::ExtentEvaluator::ExtentPtr extent,
-                           live_extents.Extent(cls));
-      for (Oid oid : *extent) {
-        for (const auto& [name, defs] : type.bindings()) {
-          if (defs.size() != 1) continue;  // ambiguous: not invocable
-          TSE_ASSIGN_OR_RETURN(const schema::PropertyDef* def,
-                               graph.GetProperty(defs[0]));
-          if (!def->is_attribute()) continue;
-          auto via_packed = packed_accessor.Read(oid, cls, name);
-          auto via_slices = plain.Read(oid, cls, name);
-          if (via_packed.ok() != via_slices.ok()) {
-            return Status::FailedPrecondition(StrCat(
-                "reading ", name, " on object ", oid.ToString(),
-                " through class ", display,
-                (via_packed.ok() ? " succeeds packed but fails via slices: "
-                                 : " fails packed but succeeds via slices: "),
-                (via_packed.ok() ? via_slices.status() : via_packed.status())
-                    .ToString()));
-          }
-          if (via_packed.ok() &&
-              !(via_packed.value() == via_slices.value())) {
-            return Status::FailedPrecondition(
-                StrCat("value of ", name, " on object ", oid.ToString(),
-                       " through class ", display, ": packed reads ",
-                       via_packed.value().ToString(), ", slices read ",
-                       via_slices.value().ToString()));
-          }
+      for (const auto& [arm, eval] : {std::pair{"index", &indexed_eval},
+                                      std::pair{"batch", &batch_eval}}) {
+        auto via_arm = eval->Extent(cls);
+        if (via_arm.ok() != via_scan.ok()) {
+          return Status::FailedPrecondition(StrCat(
+              "select class ", cls.ToString(),
+              (via_arm.ok() ? " evaluates via " : " fails via "), arm,
+              (via_arm.ok() ? " but the scan fails: "
+                            : " but the scan succeeds: "),
+              (via_arm.ok() ? via_scan.status() : via_arm.status())
+                  .ToString()));
         }
-      }
-      // Batch scans over packed column blocks must agree with a cold
-      // from-scratch evaluation, including error status.
-      algebra::ExtentEvaluator cold(&graph, &store);
-      auto via_packed = packed_eval.Extent(cls);
-      auto via_cold = cold.Extent(cls);
-      if (via_packed.ok() != via_cold.ok()) {
-        return Status::FailedPrecondition(StrCat(
-            "extent of class ", display,
-            (via_packed.ok()
-                 ? " evaluates over the packed layout but a cold "
-                   "evaluation fails: "
-                 : " fails over the packed layout but a cold "
-                   "evaluation succeeds: "),
-            (via_packed.ok() ? via_cold.status() : via_packed.status())
-                .ToString()));
-      }
-      if (via_packed.ok() && *via_packed.value() != *via_cold.value()) {
-        return Status::FailedPrecondition(
-            StrCat("extent of class ", display, " has ",
-                   via_packed.value()->size(),
-                   " members over the packed layout, ",
-                   via_cold.value()->size(), " via cold evaluation"));
+        if (via_arm.ok() && *via_arm.value() != *via_scan.value()) {
+          return Status::FailedPrecondition(
+              StrCat("select class ", cls.ToString(), " has ",
+                     via_arm.value()->size(), " members via ", arm, ", ",
+                     via_scan.value()->size(), " via scan"));
+        }
       }
     }
     return Status::OK();
@@ -705,18 +623,10 @@ RunReport DifferentialExecutor::Run(const FuzzCase& c) const {
       }
     }
     if (options_.check_index_vs_scan) {
-      // Journal-maintained indexes must answer every probe class exactly
-      // like a cold scan-forced evaluation, including error status.
+      // Journal-maintained indexes and batch arena passes must answer
+      // every probe class exactly like a cold scan-forced evaluation,
+      // including error status.
       Status st = check_index_vs_scan();
-      if (!st.ok()) {
-        diverge(step, op, st.ToString());
-        return report;
-      }
-    }
-    if (options_.check_packed_vs_slices) {
-      // Journal-maintained packed records must read and scan exactly
-      // like the slice arenas after every accepted operator.
-      Status st = check_packed_vs_slices(vs);
       if (!st.ok()) {
         diverge(step, op, st.ToString());
         return report;

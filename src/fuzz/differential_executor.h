@@ -37,18 +37,10 @@ struct ExecutorOptions {
   /// Declare secondary indexes over the workload's int attributes plus
   /// equality/range select classes probing them, then compare a
   /// long-lived index-forced evaluator (journal-maintained indexes
-  /// riding through every schema change and churn step) against a cold
-  /// scan-forced evaluation after every accepted change — ok-status and
-  /// extents must agree exactly.
+  /// riding through every schema change and churn step) and a cold
+  /// batch-forced evaluation against a cold scan-forced evaluation after
+  /// every accepted change — ok-status and extents must agree exactly.
   bool check_index_vs_scan = true;
-  /// Keep a long-lived PackedRecordCache pinned over the workload's base
-  /// classes (journal-maintained packed records riding through every
-  /// schema change and churn step) and, after every accepted change,
-  /// compare packed point reads against plain slice reads over the view
-  /// value surface, plus a packed batch-forced evaluator against a cold
-  /// evaluation on the view classes — values, ok-status, and extents
-  /// must agree exactly.
-  bool check_packed_vs_slices = true;
   /// Run every store mutation inside an MVCC commit epoch (exactly how
   /// Db stamps them) and, after every accepted change, read the whole
   /// view surface twice — once through the live locked read path and

@@ -57,9 +57,11 @@ std::vector<IndexSpec> IndexManager::List() const {
 
 std::optional<IndexProbe> IndexManager::Probe(PropertyDefId def) const {
   std::lock_guard<std::mutex> lock(mu_);
-  SyncLocked();
+  // An unindexed attribute has no stats to catch up: planning a select
+  // on it leaves the journal to the next indexed probe.
   auto it = indexes_.find(def.value());
   if (it == indexes_.end()) return std::nullopt;
+  SyncLocked();
   IndexProbe probe = it->second.Probe();
   probe.store_objects = store_->object_count();
   return probe;

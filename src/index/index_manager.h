@@ -57,8 +57,8 @@ class IndexManager {
   /// Every declared index, sorted by PropertyDefId.
   std::vector<IndexSpec> List() const;
 
-  /// Syncs and returns the statistics of `def`'s index, or nullopt when
-  /// no such index exists.
+  /// Syncs and returns the statistics of `def`'s index, or nullopt
+  /// (without syncing) when no such index exists.
   std::optional<IndexProbe> Probe(PropertyDefId def) const;
 
   /// Syncs, then appends every oid whose `def` value equals `key`.

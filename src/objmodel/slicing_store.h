@@ -37,11 +37,10 @@ struct Slice {
 /// subscribe by pulling records since their last-seen sequence number
 /// and applying them as deltas instead of re-deriving from scratch;
 /// falling behind the bounded journal (ChangesSince returns false)
-/// means rebuild. Three consumers ride this contract today, each
+/// means rebuild. Two consumers ride this contract today, each
 /// through SlicingStore::DrainJournal: the extent cache
-/// (algebra::ExtentEvaluator), the secondary indexes
-/// (index::IndexManager), and the packed-record layout cache
-/// (layout::PackedRecordCache) — see docs/ARCHITECTURE.md.
+/// (algebra::ExtentEvaluator) and the secondary indexes
+/// (index::IndexManager) — see docs/ARCHITECTURE.md.
 struct ChangeRecord {
   enum class Kind : uint8_t {
     kObjectCreated,      ///< oid

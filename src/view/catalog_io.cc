@@ -14,7 +14,6 @@ constexpr uint64_t kClassSpace = uint64_t{1} << 56;
 constexpr uint64_t kPropSpace = uint64_t{2} << 56;
 constexpr uint64_t kViewSpace = uint64_t{3} << 56;
 constexpr uint64_t kIndexSpace = uint64_t{4} << 56;
-constexpr uint64_t kLayoutSpace = uint64_t{5} << 56;
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -95,8 +94,7 @@ std::string CatalogIO::EncodeClass(const schema::SchemaGraph& schema,
 
 Status CatalogIO::Save(const schema::SchemaGraph& schema,
                        const ViewManager& views, storage::RecordStore* db,
-                       const std::vector<index::IndexSpec>* indexes,
-                       const std::vector<ClassId>* pinned_layouts) {
+                       const std::vector<index::IndexSpec>* indexes) {
   // Drop stale catalog records (classes/views removed since last save).
   std::vector<uint64_t> stale;
   TSE_RETURN_IF_ERROR(db->Scan([&](uint64_t key, const std::string&) {
@@ -154,20 +152,12 @@ Status CatalogIO::Save(const schema::SchemaGraph& schema,
       TSE_RETURN_IF_ERROR(db->Put(kIndexSpace | spec.def.value(), out));
     }
   }
-  if (pinned_layouts != nullptr) {
-    for (ClassId cls : *pinned_layouts) {
-      // The pin itself is the whole state; packed contents rebuild from
-      // a store scan on restore.
-      TSE_RETURN_IF_ERROR(db->Put(kLayoutSpace | cls.value(), std::string()));
-    }
-  }
   return db->Commit();
 }
 
 Status CatalogIO::Load(storage::RecordStore* db, schema::SchemaGraph* schema,
                        ViewManager* views,
-                       std::vector<index::IndexSpec>* indexes,
-                       std::vector<ClassId>* pinned_layouts) {
+                       std::vector<index::IndexSpec>* indexes) {
   if (schema->class_count() != 1) {
     return Status::FailedPrecondition(
         "target schema graph must contain only the root class");
@@ -193,10 +183,9 @@ Status CatalogIO::Load(storage::RecordStore* db, schema::SchemaGraph* schema,
       case 4:
         index_records[id] = payload;
         break;
-      case 5:
-        if (pinned_layouts != nullptr) pinned_layouts->push_back(ClassId(id));
-        break;
       default:
+        // Other namespaces (0x05: the packed-layout pins of older
+        // catalogs) carry nothing this engine restores.
         break;
     }
     return Status::OK();

@@ -25,30 +25,26 @@ namespace tse::view {
 ///   0x02 << 56 | prop_id      one record per property definition
 ///   0x03 << 56 | view_id      one record per view version
 ///   0x04 << 56 | prop_id      one record per secondary-index spec
-///   0x05 << 56 | class_id     one record per pinned packed layout
 ///
-/// Index *specs* and layout *pins* are catalog state; index and
-/// packed-record *contents* are not persisted — a restore rebuilds them
-/// from one store scan (the same fallback a journal gap takes), which
-/// doubles as crash recovery.
+/// Index *specs* are catalog state; index *contents* are not persisted
+/// — a restore rebuilds them from one store scan (the same fallback a
+/// journal gap takes), which doubles as crash recovery. Load ignores
+/// records in any other namespace, such as the 0x05 packed-layout pins
+/// older catalogs carry.
 class CatalogIO {
  public:
   /// Writes the complete catalog (replacing any previous catalog
-  /// records) and commits. `indexes` / `pinned_layouts` may be null (no
-  /// records of that kind).
+  /// records) and commits. `indexes` may be null (no index records).
   static Status Save(const schema::SchemaGraph& schema, const ViewManager& views,
                      storage::RecordStore* db,
-                     const std::vector<index::IndexSpec>* indexes = nullptr,
-                     const std::vector<ClassId>* pinned_layouts = nullptr);
+                     const std::vector<index::IndexSpec>* indexes = nullptr);
 
   /// Restores into a fresh schema::SchemaGraph (containing only OBJECT) and an
-  /// empty ViewManager bound to it. Persisted index specs / layout pins
-  /// are appended to `indexes` / `pinned_layouts` when non-null (older
-  /// catalogs simply have none).
+  /// empty ViewManager bound to it. Persisted index specs are appended
+  /// to `indexes` when non-null (older catalogs simply have none).
   static Status Load(storage::RecordStore* db, schema::SchemaGraph* schema,
                      ViewManager* views,
-                     std::vector<index::IndexSpec>* indexes = nullptr,
-                     std::vector<ClassId>* pinned_layouts = nullptr);
+                     std::vector<index::IndexSpec>* indexes = nullptr);
 
  private:
   static std::string EncodeClass(const schema::SchemaGraph& schema,

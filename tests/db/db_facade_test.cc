@@ -6,8 +6,10 @@
 
 #include <filesystem>
 
+#include <tse/query.h>
 #include <tse/session.h>
 #include "evolution/change_parser.h"
+#include "fuzz/naive_placement.h"
 
 namespace tse {
 namespace {
@@ -194,6 +196,46 @@ TEST(DbFacadeTest, EscapeHatchSharesEngineState) {
   EXPECT_TRUE(db->store().Exists(alice));
   ClassId student = session->Resolve("Student").value();
   EXPECT_EQ(db->extents().Extent(student).value()->count(alice), 1u);
+}
+
+// defineVC classifies every class it materializes, so the nested select
+// of hide(select(A, x >= 3), y), the auxiliary X$1, is placed in the
+// DAG and a view can select it like any other class.
+TEST(DbFacadeTest, DefineVirtualClassClassifiesAuxiliaries) {
+  auto db = Db::Open(InMemory()).value();
+  ClassId a = db->AddBaseClass("A", {},
+                               {PropertySpec::Attribute("x", ValueType::kInt),
+                                PropertySpec::Attribute("y", ValueType::kInt)})
+                  .value();
+  using algebra::Query;
+  const objmodel::MethodExpr::Ptr x_ge_3 =
+      objmodel::ParseExpr("x >= 3").value();
+  ClassId x = db->DefineVirtualClass(
+                    "X", Query::Hide(Query::Select(Query::Class("A"), x_ge_3),
+                                     {"y"}))
+                  .value();
+  ClassId aux = db->schema().FindClass("X$1").value();
+  EXPECT_EQ(db->schema().GetClass(aux).value()->supers.count(a), 1u);
+
+  auto view = db->CreateView("Aux", {{a, ""}, {aux, ""}, {x, ""}});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const view::ViewSchema* vs = db->views().GetView(view.value()).value();
+  std::vector<std::pair<ClassId, ClassId>> edges;
+  for (ClassId cls : vs->classes()) {
+    for (ClassId sup : vs->DirectSupers(cls)) edges.emplace_back(cls, sup);
+  }
+  EXPECT_EQ(edges, fuzz::NaiveViewEdges(db->schema(), vs->classes()));
+  EXPECT_EQ(std::ranges::count(edges, std::pair{aux, a}), 1);
+
+  // An auxiliary that duplicates a classified class is replaced by it
+  // before the class above it derives from it.
+  ClassId z = db->DefineVirtualClass(
+                    "Z", Query::Hide(Query::Select(Query::Class("A"), x_ge_3),
+                                     {"x"}))
+                  .value();
+  EXPECT_TRUE(db->schema().FindClass("Z$1").status().IsNotFound());
+  EXPECT_EQ(db->schema().GetClass(z).value()->derivation.sources,
+            std::vector<ClassId>{aux});
 }
 
 }  // namespace

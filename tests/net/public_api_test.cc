@@ -12,7 +12,6 @@
 #include <tse/client.h>
 #include <tse/cluster.h>
 #include <tse/db.h>
-#include <tse/layout.h>
 #include <tse/obs.h>
 #include <tse/query.h>
 #include <tse/schema_change.h>
@@ -95,14 +94,6 @@ TEST(PublicApiTest, EmbeddedSurface) {
   snap.reset();
   (void)db->VacuumVersions();
   ASSERT_TRUE(session->Set(bob, "Person", "age", Value::Int(31)).ok());
-
-  // Adaptive physical layout: pin, inspect, unpin.
-  ASSERT_TRUE(db->PinLayout("Person").ok());
-  tse::layout::PackedRecordCache::ClassStats layout_stats =
-      db->ExplainLayout("Person").value();
-  EXPECT_EQ(layout_stats.state, "pinned");
-  EXPECT_EQ(session->Get(bob, "Person", "age").value(), Value::Int(31));
-  ASSERT_TRUE(db->UnpinLayout("Person").ok());
 
   // Query/expression surface.
   auto expr = tse::objmodel::ParseExpr("age >= 21");

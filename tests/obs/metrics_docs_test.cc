@@ -19,7 +19,6 @@
 #include "algebra/processor.h"
 #include "algebra/query.h"
 #include "index/index_manager.h"
-#include "layout/packed_record_cache.h"
 #include "db/db.h"
 #include "db/session.h"
 #include "db/snapshot.h"
@@ -210,54 +209,6 @@ void RunIndexPlannerWorkload() {
   ASSERT_TRUE(db->DropIndex(a_def).ok());
 }
 
-void RunLayoutWorkload() {
-  // Adaptive physical layout (DESIGN.md §12): pin/unpin lifecycle,
-  // packed point reads and column scans, journal maintenance, the gap
-  // rebuild, and a schema-change migration.
-  schema::SchemaGraph schema;
-  objmodel::SlicingStore store;
-  ClassId hot =
-      schema
-          .AddBaseClass("LHot", {},
-                        {PropertySpec::Attribute("n", ValueType::kInt)})
-          .value();
-  PropertyDefId n_def = schema.ResolveProperty(hot, "n").value()->id;
-  const schema::PropertyDef& n = *schema.GetProperty(n_def).value();
-  algebra::ObjectAccessor acc(&schema, &store);
-  std::vector<Oid> oids;
-  for (int i = 0; i < 10; ++i) {
-    Oid o = store.CreateObject();
-    ASSERT_TRUE(store.AddMembership(o, hot).ok());
-    ASSERT_TRUE(acc.Write(o, hot, "n", Value::Int(i)).ok());
-    oids.push_back(o);
-  }
-
-  layout::AdvisorOptions manual;
-  manual.enabled = false;
-  layout::PackedRecordCache cache(&schema, &store, manual);
-  Value v;
-  ASSERT_FALSE(cache.TryGetPacked(oids[0], n, &v));       // packed.misses
-  ASSERT_TRUE(cache.Pin(hot).ok());                       // pins + promotions
-  ASSERT_TRUE(cache.TryGetPacked(oids[0], n, &v));        // packed.hits
-  ASSERT_TRUE(cache.WithColumn(                           // packed.scan_hits
-      hot, n_def, [](const auto&, const auto&) {}));
-  ASSERT_FALSE(cache.WithColumn(                          // packed.scan_misses
-      hot, PropertyDefId(999999), [](const auto&, const auto&) {}));
-  ASSERT_TRUE(acc.Write(oids[1], hot, "n", Value::Int(42)).ok());
-  ASSERT_TRUE(cache.TryGetPacked(oids[1], n, &v));        // maintain_records
-  for (size_t i = 0; i < objmodel::SlicingStore::kJournalCapacity + 10; ++i) {
-    ASSERT_TRUE(acc.Write(oids[2], hot, "n", Value::Int(0)).ok());
-  }
-  ASSERT_TRUE(cache.TryGetPacked(oids[2], n, &v));  // journal_gaps + rebuilds
-  ASSERT_TRUE(schema
-                  .AddBaseClass("LSub", {hot},
-                                {PropertySpec::Attribute("m",
-                                                         ValueType::kInt)})
-                  .ok());
-  ASSERT_TRUE(cache.TryGetPacked(oids[0], n, &v));        // migrations
-  ASSERT_TRUE(cache.Unpin(hot).ok());                     // unpins + demotions
-}
-
 void RunDbFacadeWorkload(const std::string& dir) {
   // Every session-facing path: open/read/update, a transaction commit
   // and rollback, a schema change + refresh, durable group commit.
@@ -417,7 +368,6 @@ void RunStorageWorkload(const std::string& dir) {
 TEST(MetricsDocs, EveryRegisteredMetricIsDocumented) {
   RunEvolutionPipeline();
   RunIndexPlannerWorkload();
-  RunLayoutWorkload();
   RunDbFacadeWorkload(::testing::TempDir());
   RunSnapshotWorkload();
   RunNetWorkload();

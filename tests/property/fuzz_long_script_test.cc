@@ -40,7 +40,6 @@ TEST(FuzzLongScript, ClassifierMatchesNaiveOnTwoHundredLongScripts) {
   arms.check_updatability = false;
   arms.check_incremental_extents = false;
   arms.check_index_vs_scan = false;
-  arms.check_packed_vs_slices = false;
   arms.check_snapshot_vs_locked = false;
   arms.check_classifier_vs_naive = true;
 

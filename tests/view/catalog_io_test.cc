@@ -187,6 +187,46 @@ TEST_F(CatalogIoTest, ResaveDropsRemovedClasses) {
   EXPECT_TRUE(restored.FindClass("Base").ok());
 }
 
+// Data directories written while packed-layout pins existed carry one
+// 0x05 record per pinned class. They load with the record ignored (index
+// specs next to it still restore), and the next save drops it.
+TEST_F(CatalogIoTest, LoadIgnoresLayoutPinRecords) {
+  SchemaGraph schema;
+  ViewManager views(&schema);
+  ClassId base =
+      schema
+          .AddBaseClass("Base", {},
+                        {PropertySpec::Attribute("n", ValueType::kInt)})
+          .value();
+  const std::vector<index::IndexSpec> specs = {
+      {schema.ResolveProperty(base, "n").value()->id,
+       index::IndexKind::kOrdered}};
+  const uint64_t pin_key = (uint64_t{5} << 56) | base.value();
+  {
+    auto db = OpenDb("cat_pins");
+    ASSERT_TRUE(CatalogIO::Save(schema, views, db.get(), &specs).ok());
+    ASSERT_TRUE(db->Put(pin_key, std::string()).ok());
+    ASSERT_TRUE(db->Commit().ok());
+  }
+
+  auto db = OpenDb("cat_pins");
+  ASSERT_TRUE(db->Contains(pin_key));
+  SchemaGraph restored;
+  ViewManager restored_views(&restored);
+  std::vector<index::IndexSpec> restored_specs;
+  Status s =
+      CatalogIO::Load(db.get(), &restored, &restored_views, &restored_specs);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(restored.ToDot(), schema.ToDot());
+  ASSERT_EQ(restored_specs.size(), 1u);
+  EXPECT_EQ(restored_specs[0].def, specs[0].def);
+
+  ASSERT_TRUE(
+      CatalogIO::Save(restored, restored_views, db.get(), &restored_specs)
+          .ok());
+  EXPECT_FALSE(db->Contains(pin_key));
+}
+
 // A class record in CatalogIO's layout for a class named `name` with
 // derivation op byte `op` over `sources`: no predicate, hidden names,
 // properties or edges.
